@@ -2,7 +2,6 @@
 
 from .criteria import MODE_ABSOLUTE, MODE_COMPLEX, ExclusionVerdict, apply_all
 from .exactnum import (
-    BigRational,
     EisensteinRational,
     FieldDescriptor,
     PrimeFieldElement,
@@ -24,7 +23,6 @@ from .tspace import TVector, combinatorial_quotient, check_combinatorial_identit
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "Certificate",
     "CliquePartition",
     "EisensteinRational",

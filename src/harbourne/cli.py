@@ -19,6 +19,7 @@ from .geometry import (
     Certificate,
     CertificateError,
     UnsupportedFieldError,
+    certificate_from_configuration,
     realize_over_prime_field,
     verify_certificate,
 )
@@ -28,7 +29,6 @@ from .tspace import (
     combinatorial_quotient,
     enumerate_tvectors,
     identity_imbalance,
-    quotient_fraction,
     render_decimal,
 )
 
@@ -171,8 +171,6 @@ def cmd_realize(args) -> int:
             return EXIT_NEGATIVE
         print(f"inconclusive: node budget exceeded ({outcome.nodes} nodes)", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    from .geometry import certificate_from_configuration
-
     cert = certificate_from_configuration(f"search-f{p}-d{tv.d}", outcome.configuration)
     verify_certificate(cert)
     payload = {"schema_version": SCHEMA_VERSION, **cert.to_json()}

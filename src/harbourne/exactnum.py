@@ -9,15 +9,20 @@ Three scalar families cover everything the engine needs:
 Every scalar is immutable and hashable, so values can be shared freely
 (e.g. as dict keys when grouping intersection points).  All arithmetic
 is exact; there are no tolerances anywhere downstream.
+
+Field membership is established once, at the boundary: ``as_scalar``
+coerces program data and ``scalar_from_json`` parses wire data into the
+scalar type of a ``FieldDescriptor``.  Past that point the code uses
+``+``, ``-`` and ``*`` directly.  Mixing two fields still fails: the
+F_p and Q(w) types raise ``FieldMismatchError`` from their own
+``_check``, and a ``Fraction`` on the left raises ``TypeError``, since
+neither type defines reflected operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-# Re-exported so callers never import fractions directly for field values.
-BigRational = Fraction
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -187,44 +192,7 @@ class EisensteinRational:
         return f"{self.a} + {self.b}w"
 
 
-EISENSTEIN_OMEGA = EisensteinRational(Fraction(0), Fraction(1))
-
 ExactScalar = Fraction | PrimeFieldElement | EisensteinRational
-
-
-def descriptor_of(x: ExactScalar) -> FieldDescriptor:
-    if isinstance(x, Fraction):
-        return FieldDescriptor.rational()
-    if isinstance(x, PrimeFieldElement):
-        return FieldDescriptor.prime(x.p)
-    if isinstance(x, EisensteinRational):
-        return FieldDescriptor.eisenstein()
-    raise UnsupportedFieldError(f"not an exact scalar: {x!r}")
-
-
-def _check_same_field(x: ExactScalar, y: ExactScalar) -> None:
-    dx, dy = descriptor_of(x), descriptor_of(y)
-    if dx != dy:
-        raise FieldMismatchError(f"scalars live in different fields: {dx} vs {dy}")
-
-
-def field_add(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    _check_same_field(x, y)
-    return x + y
-
-
-def field_sub(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    _check_same_field(x, y)
-    return x - y
-
-
-def field_mul(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    _check_same_field(x, y)
-    return x * y
-
-
-def field_neg(x: ExactScalar) -> ExactScalar:
-    return -x
 
 
 def field_inverse(x: ExactScalar) -> ExactScalar:
@@ -239,22 +207,6 @@ def is_zero(x: ExactScalar) -> bool:
     if isinstance(x, Fraction):
         return x == 0
     return x.is_zero()
-
-
-def zero_of(field: FieldDescriptor) -> ExactScalar:
-    return scalar_from_int(0, field)
-
-
-def one_of(field: FieldDescriptor) -> ExactScalar:
-    return scalar_from_int(1, field)
-
-
-def scalar_from_int(n: int, field: FieldDescriptor) -> ExactScalar:
-    if field.kind == RATIONAL:
-        return Fraction(n)
-    if field.kind == PRIME:
-        return PrimeFieldElement(n, field.p)
-    return EisensteinRational(Fraction(n), Fraction(0))
 
 
 def as_scalar(value, field: FieldDescriptor) -> ExactScalar:

@@ -11,37 +11,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import gcd
 
 from .exactnum import (
-    EISENSTEIN,
-    PRIME,
     RATIONAL,
     SUPPORTED_PRIMES,
     ExactScalar,
     FieldDescriptor,
     UnsupportedFieldError,
     as_scalar,
-    field_add,
     field_inverse,
-    field_mul,
-    field_sub,
     is_zero,
     scalar_from_json,
     scalar_to_json,
-    zero_of,
 )
+from .incidence import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
 from .tspace import TVector
-
-DEFAULT_NODE_BUDGET = 10**9
 
 
 class InvalidConfigurationError(ValueError):
     """Raised for duplicate lines or malformed coordinate data."""
-
-
-class _BudgetExhausted(Exception):
-    """Internal: realization search ran out of nodes."""
 
 
 class CertificateError(ValueError):
@@ -92,14 +81,12 @@ def _normalize(field: FieldDescriptor, coords) -> tuple:
         return tuple(Fraction(v) for v in ints)
     lead = next(c for c in coords if not is_zero(c))
     inv = field_inverse(lead)
-    return tuple(field_mul(c, inv) for c in coords)
+    return tuple(c * inv for c in coords)
 
 
 def dot(u: ProjTriple, v: ProjTriple) -> ExactScalar:
-    acc = zero_of(u.field)
-    for a, b in zip(u.coords, v.coords):
-        acc = field_add(acc, field_mul(a, b))
-    return acc
+    (u1, u2, u3), (v1, v2, v3) = u.coords, v.coords
+    return u1 * v1 + u2 * v2 + u3 * v3
 
 
 def incident(line: ProjTriple, point: ProjTriple) -> bool:
@@ -113,11 +100,7 @@ def cross_product(u: ProjTriple, v: ProjTriple) -> ProjTriple | None:
     projective element.
     """
     (u1, u2, u3), (v1, v2, v3) = u.coords, v.coords
-    w = (
-        field_sub(field_mul(u2, v3), field_mul(u3, v2)),
-        field_sub(field_mul(u3, v1), field_mul(u1, v3)),
-        field_sub(field_mul(u1, v2), field_mul(u2, v1)),
-    )
+    w = (u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
     if all(is_zero(c) for c in w):
         return None
     return ProjTriple(u.field, _normalize(u.field, w))
@@ -215,8 +198,10 @@ def realize_over_prime_field(
 
     Candidate subsets are explored in lexicographic order of line indices
     with pruning whenever the partial multiplicity histogram exceeds T.
-    ``exhausted=False`` in the outcome means the node budget ran out and
-    the search proves nothing.
+    As in :class:`~harbourne.incidence.SearchOutcome`, ``exhausted=True``
+    means the search finished, with a configuration or after the whole
+    tree; ``exhausted=False`` means the node budget ran out and the search
+    proves nothing.
     """
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     lines = plane_lines(p)
@@ -279,7 +264,7 @@ def realize_over_prime_field(
         for idx in range(start, len(lines) - (d - len(chosen)) + 1):
             nodes += 1
             if nodes > budget:
-                raise _BudgetExhausted
+                raise SearchBudgetExceeded(nodes)
             changes = add_line(idx)
             if histogram_ok():
                 result = search(idx + 1)
@@ -290,11 +275,9 @@ def realize_over_prime_field(
 
     try:
         config = search(0)
-    except _BudgetExhausted:
+    except SearchBudgetExceeded:
         return RealizationOutcome(None, False, nodes)
-    if config is None:
-        return RealizationOutcome(None, True, nodes)
-    return RealizationOutcome(config, False, nodes)
+    return RealizationOutcome(config, True, nodes)
 
 
 @dataclass(frozen=True)

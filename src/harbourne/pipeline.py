@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from . import criteria
@@ -128,169 +129,91 @@ class CertificateDatabase:
         return None
 
 
-def _pencil_certificate(d: int) -> Certificate:
+def _plane_residues(p: int) -> list[tuple[int, int, int]]:
+    return [tuple(c.residue for c in line.coords) for line in plane_lines(p)]
+
+
+_Q = FieldDescriptor.rational()
+_QW = FieldDescriptor.eisenstein()
+_PG23 = _plane_residues(3)
+_PG23_PENCIL = [line for line in _PG23 if line[2] == 0]  # the 4 lines through (0 : 0 : 1)
+# the 9 lines x = w^i y, y = w^i z, x = w^i z, with a + b*w written (a, b)
+_DUAL_HESSE = [
+    line
+    for a, b in ((1, 0), (0, 1), (-1, -1))
+    for line in (((1, 0), (-a, -b), (0, 0)), ((0, 0), (1, 0), (-a, -b)), ((1, 0), (0, 0), (-a, -b)))
+]
+
+# (label, field, raw lines, {k: t_k}).  Order matters: CertificateDatabase.find
+# returns the first match, and the tables name that match as their witness.
+_BUILTIN = [
     # d distinct lines a*x + b*y = 0 through the point (0 : 0 : 1)
-    lines = [(1, i, 0) for i in range(d)]
-    return Certificate(
-        f"pencil-{d}",
-        FieldDescriptor.rational(),
-        tuple((Fraction(a), Fraction(b), Fraction(c)) for a, b, c in lines),
-        TVector.from_mapping(d, {d: 1}),
-    )
-
-
-def _general_position_certificate(d: int) -> Certificate:
+    *((f"pencil-{d}", _Q, [(1, i, 0) for i in range(d)], {d: 1}) for d in range(2, 11)),
     # tangent lines of a conic: (1 : t : t^2) are never three concurrent
-    lines = [(1, t, t * t) for t in range(d)]
-    return Certificate(
-        f"general-position-{d}",
-        FieldDescriptor.rational(),
-        tuple((Fraction(a), Fraction(b), Fraction(c)) for a, b, c in lines),
-        TVector.from_mapping(d, {2: comb(d, 2)}),
-    )
-
-
-def _rational_certificate(label: str, lines, counts: dict[int, int]) -> Certificate:
-    d = len(lines)
-    return Certificate(
-        label,
-        FieldDescriptor.rational(),
-        tuple(tuple(Fraction(v) for v in line) for line in lines),
-        TVector.from_mapping(d, counts),
-    )
-
-
-def _prime_certificate(label: str, p: int, lines, counts: dict[int, int]) -> Certificate:
-    d = len(lines)
-    return Certificate(
-        label,
-        FieldDescriptor.prime(p),
-        tuple(tuple(line) for line in lines),
-        TVector.from_mapping(d, counts),
-    )
-
-
-def _dual_hesse_lines():
-    # 9 lines x = w^i y, y = w^i z, x = w^i z with w a cube root of unity;
-    # powers of w as (a, b) pairs meaning a + b*w
-    one = (1, 0)
-    w = (0, 1)
-    w2 = (-1, -1)
-    zero = (0, 0)
-    lines = []
-    for power in (one, w, w2):
-        neg = (-power[0], -power[1])
-        lines.append(((1, 0), neg, zero))  # x - w^i y = 0
-        lines.append((zero, (1, 0), neg))  # y - w^i z = 0
-        lines.append(((1, 0), zero, neg))  # x - w^i z = 0
-    return lines
-
-
-def _eisenstein_cert_from_pairs(label: str, lines, counts: dict[int, int]) -> Certificate:
-    d = len(lines)
-    from .exactnum import EisensteinRational
-
-    scalars = tuple(
-        tuple(EisensteinRational(Fraction(a), Fraction(b)) for a, b in line) for line in lines
-    )
-    return Certificate(label, FieldDescriptor.eisenstein(), scalars, TVector.from_mapping(d, counts))
-
-
-def builtin_certificates() -> CertificateDatabase:
-    """The verified certificate database backing the tables.
-
-    Entries are verified on load; a failing entry aborts startup.
-    """
-    certs: list[Certificate] = []
-    for d in range(2, 11):
-        certs.append(_pencil_certificate(d))
-    for d in range(2, 11):
-        certs.append(_general_position_certificate(d))
-
+    *(
+        (f"general-position-{d}", _Q, [(1, t, t * t) for t in range(d)], {2: comb(d, 2)})
+        for d in range(2, 11)
+    ),
     # five lines: three through one point plus two generic lines
-    certs.append(
-        _rational_certificate(
-            "five-one-triple",
-            [(1, 0, 0), (0, 1, 0), (1, -1, 0), (0, 0, 1), (1, 1, 1)],
-            {2: 7, 3: 1},
-        )
-    )
+    ("five-one-triple", _Q, [(1, 0, 0), (0, 1, 0), (1, -1, 0), (0, 0, 1), (1, 1, 1)], {2: 7, 3: 1}),
     # five lines: two triple points sharing a line
-    certs.append(
-        _rational_certificate(
-            "five-two-triples",
-            [(0, 0, 1), (0, 1, 0), (0, 1, -1), (1, 0, 0), (1, 0, -1)],
-            {2: 4, 3: 2},
-        )
-    )
+    ("five-two-triples", _Q, [(0, 0, 1), (0, 1, 0), (0, 1, -1), (1, 0, 0), (1, 0, -1)], {2: 4, 3: 2}),
     # six connecting lines of four general points
-    certs.append(
-        _rational_certificate(
-            "quadrilateral-6",
-            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, -1), (1, 0, -1), (1, -1, 0)],
-            {2: 3, 3: 4},
-        )
-    )
+    (
+        "quadrilateral-6",
+        _Q,
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, -1), (1, 0, -1), (1, -1, 0)],
+        {2: 3, 3: 4},
+    ),
     # the same plus the line x + y - z = 0 through two diagonal points
-    certs.append(
-        _rational_certificate(
-            "quadrilateral-7",
-            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, -1), (1, 0, -1), (1, -1, 0), (1, 1, -1)],
-            {2: 3, 3: 6},
-        )
-    )
+    (
+        "quadrilateral-7",
+        _Q,
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, -1), (1, 0, -1), (1, -1, 0), (1, 1, -1)],
+        {2: 3, 3: 6},
+    ),
     # eight lines: a complete quadrilateral, two of its diagonals, and the
     # joins of the remaining opposite-vertex pair to the diagonal point
-    certs.append(
-        _rational_certificate(
-            "d8-t4-config",
-            [
-                (1, 0, 0),
-                (0, 1, 0),
-                (0, 0, 1),
-                (1, 1, 1),
-                (1, 1, 0),
-                (1, 0, 1),
-                (2, 1, 1),
-                (0, 1, -1),
-            ],
-            {2: 4, 3: 6, 4: 1},
-        )
-    )
-
-    fano = [tuple(c.residue for c in line.coords) for line in plane_lines(2)]
-    certs.append(_prime_certificate("fano-f2", 2, fano, {3: 7}))
-
-    all_f3 = [tuple(c.residue for c in line.coords) for line in plane_lines(3)]
-    through_fixed = [line for line in all_f3 if line[2] == 0]  # pencil through (0 : 0 : 1)
-    assert len(through_fixed) == 4
-    certs.append(
-        _prime_certificate(
-            "pg23-minus-pencil4",
-            3,
-            [line for line in all_f3 if line not in through_fixed],
-            {3: 12},
-        )
-    )
-    removed3 = [line for line in through_fixed if line != (0, 1, 0)]
-    certs.append(
-        _prime_certificate(
-            "pg23-minus-pencil3",
-            3,
-            [line for line in all_f3 if line not in removed3],
-            {3: 9, 4: 3},
-        )
-    )
-
-    dual_hesse = _dual_hesse_lines()
-    certs.append(_eisenstein_cert_from_pairs("dual-hesse-eisenstein", dual_hesse, {3: 12}))
+    (
+        "d8-t4-config",
+        _Q,
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 0), (1, 0, 1), (2, 1, 1), (0, 1, -1)],
+        {2: 4, 3: 6, 4: 1},
+    ),
+    ("fano-f2", FieldDescriptor.prime(2), _plane_residues(2), {3: 7}),
+    (
+        "pg23-minus-pencil4",
+        FieldDescriptor.prime(3),
+        [line for line in _PG23 if line not in _PG23_PENCIL],
+        {3: 12},
+    ),
+    # keeping the pencil line (0 : 1 : 0)
+    (
+        "pg23-minus-pencil3",
+        FieldDescriptor.prime(3),
+        [line for line in _PG23 if line == (0, 1, 0) or line not in _PG23_PENCIL],
+        {3: 9, 4: 3},
+    ),
+    ("dual-hesse-eisenstein", _QW, _DUAL_HESSE, {3: 12}),
     # adding the line y = 0 through the triple points (0:0:1) and (1:0:0)
-    plus_line = dual_hesse + [((0, 0), (1, 0), (0, 0))]
-    certs.append(
-        _eisenstein_cert_from_pairs("dual-hesse-plus-line", plus_line, {2: 3, 3: 10, 4: 2})
-    )
+    ("dual-hesse-plus-line", _QW, [*_DUAL_HESSE, ((0, 0), (1, 0), (0, 0))], {2: 3, 3: 10, 4: 2}),
+]
 
-    return CertificateDatabase(certs)
+
+@cache
+def builtin_certificates() -> CertificateDatabase:
+    """The verified certificate database backing the tables, built once per process.
+
+    The entries are data: raw ints and (a, b) pairs that ``Certificate``
+    coerces into field scalars.  Each is verified on load; a failing entry
+    aborts startup.
+    """
+    return CertificateDatabase(
+        [
+            Certificate(label, field, lines, TVector.from_mapping(len(lines), counts))
+            for label, field, lines, counts in _BUILTIN
+        ]
+    )
 
 
 def classify_candidate(

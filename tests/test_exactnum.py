@@ -11,17 +11,11 @@ from harbourne.exactnum import (
     FieldMismatchError,
     PrimeFieldElement,
     UnsupportedFieldError,
-    descriptor_of,
-    field_add,
+    as_scalar,
     field_inverse,
-    field_mul,
-    field_neg,
-    field_sub,
     is_zero,
-    one_of,
     scalar_from_json,
     scalar_to_json,
-    zero_of,
 )
 
 rationals = st.fractions(max_denominator=50)
@@ -33,17 +27,17 @@ def prime_elements(p):
 
 
 def test_rational_addition():
-    assert field_add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
 
 
 def test_prime_field_multiplication():
     two = PrimeFieldElement(2, 3)
-    assert field_mul(two, two) == PrimeFieldElement(1, 3)
+    assert two * two == PrimeFieldElement(1, 3)
 
 
 def test_omega_squared_reduces():
     w = EisensteinRational(0, 1)
-    assert field_mul(w, w) == EisensteinRational(-1, -1)
+    assert w * w == EisensteinRational(-1, -1)
 
 
 def test_rational_inverse():
@@ -57,16 +51,16 @@ def test_prime_field_inverse():
 def test_eisenstein_inverse_via_multiplication_oracle():
     x = EisensteinRational(1, 1)  # norm 1 - 1 + 1 = 1
     inv = field_inverse(x)
-    assert field_mul(x, inv) == EisensteinRational(1, 0)
+    assert x * inv == EisensteinRational(1, 0)
 
 
 def test_field_mismatch_rejected():
     with pytest.raises(FieldMismatchError):
-        field_add(Fraction(1), PrimeFieldElement(1, 3))
+        PrimeFieldElement(1, 3) + Fraction(1)
     with pytest.raises(FieldMismatchError):
-        field_mul(PrimeFieldElement(1, 3), PrimeFieldElement(1, 5))
+        PrimeFieldElement(1, 3) * PrimeFieldElement(1, 5)
     with pytest.raises(FieldMismatchError):
-        field_add(EisensteinRational(1, 0), Fraction(1))
+        EisensteinRational(1, 0) + Fraction(1)
 
 
 def test_zero_has_no_inverse():
@@ -90,42 +84,42 @@ def test_unsupported_prime_rejected():
 @given(rationals)
 def test_rational_inverse_roundtrip(x):
     if x != 0:
-        assert field_mul(x, field_inverse(x)) == Fraction(1)
+        assert x * field_inverse(x) == Fraction(1)
 
 
 @given(st.sampled_from(SUPPORTED_PRIMES), st.data())
 def test_prime_inverse_roundtrip(p, data):
     x = data.draw(prime_elements(p))
     if not x.is_zero():
-        assert field_mul(x, field_inverse(x)) == PrimeFieldElement(1, p)
+        assert x * field_inverse(x) == PrimeFieldElement(1, p)
 
 
 @given(eisensteins)
 def test_eisenstein_inverse_roundtrip(x):
     if not x.is_zero():
-        assert field_mul(x, field_inverse(x)) == EisensteinRational(1, 0)
+        assert x * field_inverse(x) == EisensteinRational(1, 0)
 
 
 @given(st.integers(-100, 100), st.integers(-100, 100))
 def test_rational_agrees_with_integers(a, b):
-    assert field_add(Fraction(a), Fraction(b)) == a + b
-    assert field_mul(Fraction(a), Fraction(b)) == a * b
-    assert field_neg(Fraction(a)) == -a
+    assert Fraction(a) + Fraction(b) == a + b
+    assert Fraction(a) * Fraction(b) == a * b
+    assert -Fraction(a) == -a
 
 
 @given(st.sampled_from(SUPPORTED_PRIMES), st.integers(-200, 200), st.integers(-200, 200))
 def test_prime_field_agrees_with_modular_integers(p, a, b):
     x, y = PrimeFieldElement(a, p), PrimeFieldElement(b, p)
-    assert field_add(x, y).residue == (a + b) % p
-    assert field_mul(x, y).residue == (a * b) % p
-    assert field_sub(x, y).residue == (a - b) % p
-    assert field_neg(x).residue == (-a) % p
+    assert (x + y).residue == (a + b) % p
+    assert (x * y).residue == (a * b) % p
+    assert (x - y).residue == (a - b) % p
+    assert (-x).residue == (-a) % p
 
 
 @given(eisensteins, eisensteins, eisensteins)
 def test_eisenstein_mul_commutative_associative(x, y, z):
-    assert field_mul(x, y) == field_mul(y, x)
-    assert field_mul(field_mul(x, y), z) == field_mul(x, field_mul(y, z))
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
 
 
 def test_residue_range_invariant():
@@ -134,17 +128,19 @@ def test_residue_range_invariant():
 
 
 @pytest.mark.parametrize(
-    "scalar,encoded",
+    "scalar,field,encoded",
     [
-        (Fraction(-29, 12), "-29/12"),
-        (Fraction(3), "3"),
-        (PrimeFieldElement(2, 3), 2),
-        (EisensteinRational(Fraction(1, 2), Fraction(-1)), ["1/2", "-1"]),
+        (Fraction(-29, 12), FieldDescriptor.rational(), "-29/12"),
+        (Fraction(3), FieldDescriptor.rational(), "3"),
+        (PrimeFieldElement(2, 3), FieldDescriptor.prime(3), 2),
+        (EisensteinRational(Fraction(1, 2), Fraction(-1)), FieldDescriptor.eisenstein(), ["1/2", "-1"]),
     ],
+    # the field is an input, not part of the case's name
+    ids=["scalar0--29/12", "scalar1-3", "scalar2-2", "scalar3-encoded3"],
 )
-def test_scalar_serialization_roundtrip(scalar, encoded):
+def test_scalar_serialization_roundtrip(scalar, field, encoded):
     assert scalar_to_json(scalar) == encoded
-    assert scalar_from_json(encoded, descriptor_of(scalar)) == scalar
+    assert scalar_from_json(encoded, field) == scalar
 
 
 def test_scalar_parse_rejects_garbage():
@@ -163,6 +159,6 @@ def test_descriptor_json_roundtrip():
 
 def test_identities():
     for desc in (FieldDescriptor.rational(), FieldDescriptor.prime(7), FieldDescriptor.eisenstein()):
-        assert is_zero(zero_of(desc))
-        one = one_of(desc)
-        assert field_mul(one, one) == one
+        assert is_zero(as_scalar(0, desc))
+        one = as_scalar(1, desc)
+        assert one * one == one

@@ -162,6 +162,7 @@ class TestRealization:
     def test_fano_found_in_f2(self):
         out = realize_over_prime_field(TVector.from_mapping(7, {3: 7}), 2)
         assert out.found
+        assert out.exhausted
         assert out.configuration.d == 7
         assert tvector_of_configuration(out.configuration) == TVector.from_mapping(7, {3: 7})
 

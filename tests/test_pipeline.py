@@ -47,6 +47,23 @@ class TestBuiltinDatabase:
         ):
             assert label in db
 
+    def test_label_order(self, db):
+        # find() returns the first match, so this order picks the table witnesses
+        assert db.labels() == [
+            *(f"pencil-{d}" for d in range(2, 11)),
+            *(f"general-position-{d}" for d in range(2, 11)),
+            "five-one-triple",
+            "five-two-triples",
+            "quadrilateral-6",
+            "quadrilateral-7",
+            "d8-t4-config",
+            "fano-f2",
+            "pg23-minus-pencil4",
+            "pg23-minus-pencil3",
+            "dual-hesse-eisenstein",
+            "dual-hesse-plus-line",
+        ]
+
     def test_general_position_six(self, db):
         assert db.reports["general-position-6"].value == Fraction(-8, 5)
 
@@ -175,9 +192,10 @@ class TestTables:
     def test_missing_complex_witnesses_flag_the_row(self):
         # with only the pencil available over characteristic 0, everything
         # below q = 0 ends inconclusive and the row must say so
-        from harbourne.pipeline import CertificateDatabase, _pencil_certificate
+        from harbourne.pipeline import CertificateDatabase
 
-        sparse = CertificateDatabase([_pencil_certificate(d) for d in range(2, 6)])
+        full = builtin_certificates()
+        sparse = CertificateDatabase([full.get(f"pencil-{d}") for d in range(2, 6)])
         rows = compute_table(5, MODE_COMPLEX, (2, 3), sparse)
         d5 = rows[-1]
         assert d5.value == 0
