@@ -75,6 +75,15 @@ def _parse_tvector(args) -> TVector | None:
     return tv
 
 
+def _emit_json(payload: dict, out: str | None) -> None:
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
 def _parse_fraction(text: str) -> Fraction:
     return Fraction(text.replace(" ", ""))
 
@@ -130,13 +139,7 @@ def cmd_feasible(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NEGATIVE
-    payload = {"schema_version": SCHEMA_VERSION, **outcome.witness.to_json()}
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit_json(outcome.witness.to_json(), args.out)
     return EXIT_OK
 
 
@@ -173,13 +176,7 @@ def cmd_realize(args) -> int:
         return EXIT_INCONCLUSIVE
     cert = certificate_from_configuration(f"search-f{p}-d{tv.d}", outcome.configuration)
     verify_certificate(cert)
-    payload = {"schema_version": SCHEMA_VERSION, **cert.to_json()}
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit_json(cert.to_json(), args.out)
     return EXIT_OK
 
 

@@ -15,8 +15,8 @@ coerces program data and ``scalar_from_json`` parses wire data into the
 scalar type of a ``FieldDescriptor``.  Past that point the code uses
 ``+``, ``-`` and ``*`` directly.  Mixing two fields still fails: the
 F_p and Q(w) types raise ``FieldMismatchError`` from their own
-``_check``, and a ``Fraction`` on the left raises ``TypeError``, since
-neither type defines reflected operators.
+``_check``, with either operand order, since their reflected operators
+run the same check.
 """
 
 from __future__ import annotations
@@ -123,6 +123,18 @@ class PrimeFieldElement:
         self._check(other)
         return PrimeFieldElement(self.residue * other.residue, self.p)
 
+    def __radd__(self, other) -> "PrimeFieldElement":
+        self._check(other)
+        return other + self
+
+    def __rsub__(self, other) -> "PrimeFieldElement":
+        self._check(other)
+        return other - self
+
+    def __rmul__(self, other) -> "PrimeFieldElement":
+        self._check(other)
+        return other * self
+
     def __neg__(self) -> "PrimeFieldElement":
         return PrimeFieldElement(-self.residue, self.p)
 
@@ -171,6 +183,18 @@ class EisensteinRational:
         #                        = (a1 a2 - b1 b2) + (a1 b2 + a2 b1 - b1 b2) w
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         return EisensteinRational(a1 * a2 - b1 * b2, a1 * b2 + a2 * b1 - b1 * b2)
+
+    def __radd__(self, other) -> "EisensteinRational":
+        self._check(other)
+        return other + self
+
+    def __rsub__(self, other) -> "EisensteinRational":
+        self._check(other)
+        return other - self
+
+    def __rmul__(self, other) -> "EisensteinRational":
+        self._check(other)
+        return other * self
 
     def __neg__(self) -> "EisensteinRational":
         return EisensteinRational(-self.a, -self.b)

@@ -4,6 +4,10 @@ Lines and points are both homogeneous triples (duality makes them
 interchangeable); a point lies on a line iff the dot product vanishes
 in the field.  Everything is exact: intersection points are grouped by
 normalized coordinates, never by epsilon clustering.
+
+The F_p realization search runs on the integer incidence table of
+PG(2, p); only the configuration it finds is built from exact
+coordinates and verified.
 """
 
 from __future__ import annotations
@@ -164,20 +168,26 @@ def plane_lines(p: int) -> tuple[ProjTriple, ...]:
     if p not in SUPPORTED_PRIMES:
         raise UnsupportedFieldError(f"unsupported prime {p}; choose from {SUPPORTED_PRIMES}")
     field = FieldDescriptor.prime(p)
-    triples: list[ProjTriple] = []
-    triples.append(ProjTriple.make(field, (0, 0, 1)))
-    for c in range(p):
-        triples.append(ProjTriple.make(field, (0, 1, c)))
-    for b in range(p):
-        for c in range(p):
-            triples.append(ProjTriple.make(field, (1, b, c)))
-    triples.sort(key=lambda t: tuple(c.residue for c in t.coords))
+    raw = [(0, 0, 1), *((0, 1, c) for c in range(p)), *((1, b, c) for b in range(p) for c in range(p))]
+    triples = tuple(ProjTriple.make(field, r) for r in raw)
     assert len(set(triples)) == p * p + p + 1
-    # duality sanity: every point of the plane lies on exactly p + 1 lines
-    for point in triples:  # points and lines coincide as normalized triples
-        on = sum(1 for line in triples if incident(line, point))
-        assert on == p + 1, f"point {point} lies on {on} lines, expected {p + 1}"
-    return tuple(triples)
+    return triples
+
+
+@lru_cache(maxsize=None)
+def _plane_incidence(p: int) -> tuple[tuple[int, ...], ...]:
+    """Row i: indices of the p + 1 points on ``plane_lines(p)[i]``.
+
+    Points and lines share normal forms, so point j is ``plane_lines(p)[j]``;
+    the dot product is symmetric, so each point also lies on p + 1 lines.
+    """
+    residues = [tuple(c.residue for c in t.coords) for t in plane_lines(p)]
+    rows = tuple(
+        tuple(j for j, (x, y, z) in enumerate(residues) if (a * x + b * y + c * z) % p == 0)
+        for a, b, c in residues
+    )
+    assert all(len(row) == p + 1 for row in rows), f"PG(2,{p}) incidence is not p + 1 per line"
+    return rows
 
 
 @dataclass(frozen=True)
@@ -198,6 +208,8 @@ def realize_over_prime_field(
 
     Candidate subsets are explored in lexicographic order of line indices
     with pruning whenever the partial multiplicity histogram exceeds T.
+    It runs on the integer incidence table of PG(2, p); only a found
+    configuration is built from exact coordinates (callers verify it).
     As in :class:`~harbourne.incidence.SearchOutcome`, ``exhausted=True``
     means the search finished, with a configuration or after the whole
     tree; ``exhausted=False`` means the node budget ran out and the search
@@ -208,6 +220,7 @@ def realize_over_prime_field(
     d = tv.d
     if d > len(lines):
         raise ValueError(f"cannot pick {d} distinct lines in PG(2,{p}) ({len(lines)} lines)")
+    rows = _plane_incidence(p)
 
     # suffix_quota[k] = number of points of multiplicity >= k that T allows
     suffix_quota = [0] * (d + 2)
@@ -216,8 +229,8 @@ def realize_over_prime_field(
 
     target = tuple(tv.counts)
     chosen: list[int] = []
-    mult: dict[ProjTriple, int] = {}
-    hist = [0] * (d + 1)  # hist[m] = number of points with current multiplicity m
+    on = [0] * len(lines)  # on[pt] = number of chosen lines through point pt
+    hist = [len(lines)] + [0] * d  # hist[m] = number of points on exactly m chosen lines
     nodes = 0
 
     def histogram_ok() -> bool:
@@ -227,33 +240,6 @@ def realize_over_prime_field(
             if ge > suffix_quota[k]:
                 return False
         return True
-
-    def add_line(idx: int) -> list[tuple[ProjTriple, int]]:
-        new_line = lines[idx]
-        meets: dict[ProjTriple, int] = {}
-        for prev in chosen:
-            pt = cross_product(lines[prev], new_line)
-            meets[pt] = meets.get(pt, 0) + 1
-        changes = []
-        for pt, existing in meets.items():
-            old = mult.get(pt, 0)
-            changes.append((pt, old))
-            if old:
-                hist[old] -= 1
-            mult[pt] = existing + 1
-            hist[existing + 1] += 1
-        chosen.append(idx)
-        return changes
-
-    def undo(changes: list[tuple[ProjTriple, int]]) -> None:
-        chosen.pop()
-        for pt, old in changes:
-            hist[mult[pt]] -= 1
-            if old:
-                mult[pt] = old
-                hist[old] += 1
-            else:
-                del mult[pt]
 
     def search(start: int) -> LineConfiguration | None:
         nonlocal nodes
@@ -265,12 +251,21 @@ def realize_over_prime_field(
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(nodes)
-            changes = add_line(idx)
+            row = rows[idx]
+            for pt in row:
+                hist[on[pt]] -= 1
+                on[pt] += 1
+                hist[on[pt]] += 1
+            chosen.append(idx)
             if histogram_ok():
                 result = search(idx + 1)
                 if result is not None:
                     return result
-            undo(changes)
+            chosen.pop()
+            for pt in reversed(row):
+                hist[on[pt]] -= 1
+                on[pt] -= 1
+                hist[on[pt]] += 1
         return None
 
     try:

@@ -197,6 +197,8 @@ _BUILTIN = [
     ("dual-hesse-eisenstein", _QW, _DUAL_HESSE, {3: 12}),
     # adding the line y = 0 through the triple points (0:0:1) and (1:0:0)
     ("dual-hesse-plus-line", _QW, [*_DUAL_HESSE, ((0, 0), (1, 0), (0, 0))], {2: 3, 3: 10, 4: 2}),
+    # dropping the line x = y turns its four triple points into double points
+    ("dual-hesse-minus-line", _QW, _DUAL_HESSE[1:], {2: 4, 3: 8}),
 ]
 
 

@@ -101,7 +101,7 @@ class QuotientValue:
 
 def check_combinatorial_identity(tv: TVector) -> bool:
     """True iff sum t_k * C(k,2) equals C(d,2)."""
-    return sum(tv.t(k) * comb(k, 2) for k in range(2, tv.d + 1)) == comb(tv.d, 2)
+    return identity_imbalance(tv) == 0
 
 
 def identity_imbalance(tv: TVector) -> int:

@@ -35,6 +35,7 @@ from harbourne.geometry import (
 from harbourne.incidence import feasible_arrangement
 from harbourne.pipeline import (
     ST_EXCLUDED,
+    ST_INCONCLUSIVE,
     ST_INFEASIBLE,
     ST_REALIZED,
     builtin_certificates,
@@ -108,6 +109,9 @@ def test_criterion_1_golden_absolute_table():
     values = {row.d: row.value for row in rows}
     assert values == ABSOLUTE_GOLDEN
     assert all(row.integrity_ok for row in rows)
+    assert not [
+        (row.d, st.tvector.encode()) for row in rows for st in row.audit if st.status == ST_INCONCLUSIVE
+    ]
     assert elapsed < 300
     print(f"\nPASS criterion 1: absolute table d=2..10 exact ({elapsed:.1f}s)")
 
@@ -119,6 +123,9 @@ def test_criterion_2_golden_complex_table():
     values = {row.d: row.value for row in rows}
     assert values == COMPLEX_GOLDEN
     assert all(row.integrity_ok for row in rows)
+    assert not [
+        (row.d, st.tvector.encode()) for row in rows for st in row.audit if st.status == ST_INCONCLUSIVE
+    ]
     assert elapsed < 300
     print(f"PASS criterion 2: complex table d=2..10 exact ({elapsed:.1f}s)")
 

@@ -61,6 +61,19 @@ def test_field_mismatch_rejected():
         PrimeFieldElement(1, 3) * PrimeFieldElement(1, 5)
     with pytest.raises(FieldMismatchError):
         EisensteinRational(1, 0) + Fraction(1)
+    # a foreign scalar on the left falls back to the reflected operator
+    with pytest.raises(FieldMismatchError):
+        Fraction(1) + PrimeFieldElement(1, 3)
+    with pytest.raises(FieldMismatchError):
+        1 - PrimeFieldElement(1, 3)
+    with pytest.raises(FieldMismatchError):
+        Fraction(1) * PrimeFieldElement(1, 3)
+    with pytest.raises(FieldMismatchError):
+        Fraction(1) + EisensteinRational(1, 0)
+    with pytest.raises(FieldMismatchError):
+        Fraction(1) - EisensteinRational(1, 0)
+    with pytest.raises(FieldMismatchError):
+        2 * EisensteinRational(1, 0)
 
 
 def test_zero_has_no_inverse():

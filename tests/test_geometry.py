@@ -19,6 +19,7 @@ from harbourne.geometry import (
     LineConfiguration,
     ProjTriple,
     certificate_from_configuration,
+    _plane_incidence,
     cross_product,
     harbourne_value,
     incident,
@@ -67,6 +68,14 @@ class TestPlaneLines:
 
     def test_deterministic_order(self):
         assert [l.to_json() for l in plane_lines(3)] == [l.to_json() for l in plane_lines(3)]
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_incidence_table_matches_exact_incidence(self, p):
+        points = plane_lines(p)
+        table = _plane_incidence(p)
+        assert len(table) == len(points)
+        for line, row in zip(points, table):
+            assert list(row) == [j for j, pt in enumerate(points) if incident(line, pt)]
 
 
 class TestNormalization:
@@ -163,24 +172,29 @@ class TestRealization:
         out = realize_over_prime_field(TVector.from_mapping(7, {3: 7}), 2)
         assert out.found
         assert out.exhausted
+        assert out.nodes == 7
         assert out.configuration.d == 7
         assert tvector_of_configuration(out.configuration) == TVector.from_mapping(7, {3: 7})
 
     def test_fano_absent_from_f3(self):
         out = realize_over_prime_field(TVector.from_mapping(7, {3: 7}), 3)
         assert not out.found and out.exhausted
+        assert out.nodes == 1508
 
     def test_dual_hesse_found_in_f3(self):
         out = realize_over_prime_field(TVector.from_mapping(9, {3: 12}), 3)
         assert out.found
+        assert out.nodes == 16
 
     def test_d10_found_in_f3(self):
         out = realize_over_prime_field(TVector.from_mapping(10, {3: 9, 4: 3}), 3)
         assert out.found
+        assert out.nodes == 10
 
     def test_budget_gives_inconclusive(self):
         out = realize_over_prime_field(TVector.from_mapping(9, {3: 12}), 3, node_budget=2)
         assert not out.found and not out.exhausted
+        assert out.nodes == 3
 
     def test_too_many_lines_rejected(self):
         with pytest.raises(ValueError):

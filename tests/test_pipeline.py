@@ -62,6 +62,7 @@ class TestBuiltinDatabase:
             "pg23-minus-pencil3",
             "dual-hesse-eisenstein",
             "dual-hesse-plus-line",
+            "dual-hesse-minus-line",
         ]
 
     def test_general_position_six(self, db):
