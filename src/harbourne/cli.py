@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import criteria, incidence, pipeline
+from .exactnum import SUPPORTED_PRIMES
 from .geometry import (
     Certificate,
     CertificateError,
@@ -174,7 +175,7 @@ def cmd_realize(args) -> int:
             return EXIT_NEGATIVE
         print(f"inconclusive: node budget exceeded ({outcome.nodes} nodes)", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    cert = certificate_from_configuration(f"search-f{p}-d{tv.d}", outcome.configuration)
+    cert = certificate_from_configuration(f"search-f{p}-d{tv.d}", outcome.configuration, tv)
     verify_certificate(cert)
     _emit_json(cert.to_json(), args.out)
     return EXIT_OK
@@ -229,6 +230,9 @@ def cmd_table(args) -> int:
         fields = tuple(int(f) for f in args.fields.split(",") if f.strip())
     except ValueError:
         return _usage(f"malformed field list {args.fields!r}")
+    unsupported = [p for p in fields if p not in SUPPORTED_PRIMES]
+    if unsupported:
+        return _usage(f"unsupported field(s) {unsupported}; choose from {SUPPORTED_PRIMES}")
     try:
         rows = pipeline.compute_table(args.max_d, args.mode, fields, node_budget=_node_budget(args))
     except pipeline.TableIntegrityError as exc:

@@ -34,56 +34,41 @@ MODES = (MODE_ABSOLUTE, MODE_COMPLEX)
 
 @dataclass(frozen=True)
 class ExclusionVerdict:
-    """Outcome of one filter (or of the whole pipeline) on a T-vector."""
+    """Outcome of one filter (or of the whole pipeline) on a T-vector.
 
-    status: str
+    ``criterion`` names the filter that excluded T; ``None`` means T passed.
+    """
+
     criterion: str | None
     detail: str
 
     def __post_init__(self) -> None:
-        if self.status not in (PASSED, EXCLUDED):
-            raise ValueError(f"bad verdict status {self.status!r}")
-        if self.status == EXCLUDED and not (self.criterion and self.detail):
+        if self.criterion is not None and not (self.criterion and self.detail):
             raise ValueError("excluded verdicts need a criterion name and a detail witness")
 
     @property
     def is_excluded(self) -> bool:
-        return self.status == EXCLUDED
+        return self.criterion is not None
+
+    @property
+    def status(self) -> str:
+        return EXCLUDED if self.is_excluded else PASSED
 
     def to_json(self) -> dict:
         return {"status": self.status, "criterion": self.criterion, "detail": self.detail}
 
 
 def _passed(detail: str = "ok") -> ExclusionVerdict:
-    return ExclusionVerdict(PASSED, None, detail)
+    return ExclusionVerdict(None, detail)
 
 
 def _excluded(criterion: str, detail: str) -> ExclusionVerdict:
-    return ExclusionVerdict(EXCLUDED, criterion, detail)
+    return ExclusionVerdict(criterion, detail)
 
 
 def _require_valid(tv: TVector) -> None:
     if not check_combinatorial_identity(tv):
         raise ValueError(f"not a solution of the pair-count identity: {tv}")
-
-
-@dataclass(frozen=True)
-class LineProfile:
-    """Multiplicities of the singular points on a single line.
-
-    ``parts`` is sorted descending; each entry m counts the line itself,
-    so sum (m - 1) over the parts equals d - 1.
-    """
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
-        if any(m < 2 for m in self.parts):
-            raise ValueError(f"profile parts must be >= 2, got {self.parts}")
-
-    def count(self, m: int) -> int:
-        return self.parts.count(m)
 
 
 def multiplicity_sum_filter(tv: TVector) -> ExclusionVerdict:
@@ -131,20 +116,22 @@ def two_pencils_filter(tv: TVector) -> ExclusionVerdict:
     return _passed()
 
 
-def enumerate_line_profiles(tv: TVector) -> list[LineProfile]:
+def enumerate_line_profiles(tv: TVector) -> list[tuple[int, ...]]:
     """All admissible per-line profiles for this T-vector.
 
-    Parts are multiplicities m with t_m > 0; a line meets at most t_m
-    points of multiplicity m, and the parts satisfy sum (m-1) = d-1.
+    A profile lists the multiplicities of the singular points on one line,
+    in descending order.  Parts are multiplicities m >= 2 with t_m > 0; a
+    line meets at most t_m points of multiplicity m, and since each m
+    counts the line itself, the parts satisfy sum (m-1) = d-1.
     """
     ks = [k for k in range(tv.d, 1, -1) if tv.t(k) > 0]
     target = tv.d - 1
-    profiles: list[LineProfile] = []
+    profiles: list[tuple[int, ...]] = []
     parts: list[int] = []
 
     def descend(idx: int, remaining: int) -> None:
         if remaining == 0:
-            profiles.append(LineProfile(tuple(parts)))
+            profiles.append(tuple(parts))
             return
         if idx == len(ks):
             return
@@ -159,7 +146,7 @@ def enumerate_line_profiles(tv: TVector) -> list[LineProfile]:
     return profiles
 
 
-def _profile_mix_exists(tv: TVector, profiles: list[LineProfile]) -> bool:
+def _profile_mix_exists(tv: TVector, profiles: list[tuple[int, ...]]) -> bool:
     """Decide if non-negative profile counts x_P can meet all incidence totals.
 
     Constraints: sum x_P = d, and for each multiplicity m the profiles
@@ -214,7 +201,7 @@ def parity_profile_filter(tv: TVector) -> ExclusionVerdict:
             f"with at most t_m parts of each size",
         )
     if not _profile_mix_exists(tv, profiles):
-        shapes = ", ".join("{" + ",".join(map(str, p.parts)) + "}" for p in profiles)
+        shapes = ", ".join("{" + ",".join(map(str, p)) + "}" for p in profiles)
         return _excluded(
             "parity_profile",
             f"no assignment of the {len(profiles)} admissible line profiles [{shapes}] "

@@ -330,13 +330,11 @@ class Certificate:
         return cls(label, field, tuple(lines), claimed)
 
 
-def certificate_from_configuration(label: str, config: LineConfiguration) -> Certificate:
-    return Certificate(
-        label,
-        config.field,
-        tuple(line.coords for line in config.lines),
-        tvector_of_configuration(config),
-    )
+def certificate_from_configuration(
+    label: str, config: LineConfiguration, claimed: TVector
+) -> Certificate:
+    """Certificate for ``config`` claiming ``claimed``; ``verify_certificate`` checks the claim."""
+    return Certificate(label, config.field, tuple(line.coords for line in config.lines), claimed)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ The search pre-allocates one fixed-size slot per point and assigns line
 pairs to slots in lexicographic order.  An uncovered pair either joins a
 slot already containing its first line or seeds the first empty slot of
 some size (identical empty slots are interchangeable, which is the
-isomorph rejection).  Pruning:
+isomorph rejection).  The state is one int bitmask of lines per slot,
+the slots of each line in joining order, and each line's committed
+degree; a pair (i, j) is covered iff some slot of i has bit j.  Pruning:
 
 * per-line degree: a line in slots of sizes k_1, k_2, ... eventually has
   sum (k_i - 1) = d - 1, so the committed remainder must stay
@@ -134,10 +136,9 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
 
     sizes = tv.multiplicities()  # slot sizes, descending
     n_slots = len(sizes)
-    members: list[list[int]] = [[] for _ in range(n_slots)]
-    covered = [[False] * d for _ in range(d)]
+    slot_lines = [0] * n_slots  # bitmask of the lines in each slot
+    line_slots: list[list[int]] = [[] for _ in range(d)]  # in joining order
     committed = [0] * d  # sum (size - 1) over slots containing the line
-    line_slots: list[list[int]] = [[] for _ in range(d)]
     reachable = _representable_degrees(tv)
     max_deg = d - 1
 
@@ -152,35 +153,33 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
         new_committed = committed[line] + size - 1
         if new_committed > max_deg or not reachable[max_deg - new_committed]:
             return False
+        met = 0  # lines already sharing a slot with `line`
         for other in line_slots[line]:
             if not share_ok[size][sizes[other]]:
                 return False
-        return all(not covered[m][line] for m in members[slot])
+            met |= slot_lines[other]
+        return not met & slot_lines[slot]
 
     def join(line: int, slot: int) -> None:
-        for m in members[slot]:
-            covered[m][line] = covered[line][m] = True
-        members[slot].append(line)
+        slot_lines[slot] |= 1 << line
         committed[line] += sizes[slot] - 1
         line_slots[line].append(slot)
 
-    def unjoin(line: int, slot: int) -> None:
-        line_slots[line].pop()
+    def unjoin(line: int) -> None:
+        slot = line_slots[line].pop()
         committed[line] -= sizes[slot] - 1
-        members[slot].pop()
-        for m in members[slot]:
-            covered[m][line] = covered[line][m] = False
+        slot_lines[slot] &= ~(1 << line)
 
     def slots_completable() -> bool:
         # every partially filled slot still needs enough joinable lines
         for slot in range(n_slots):
-            have = len(members[slot])
+            have = slot_lines[slot].bit_count()
             if have == 0 or have == sizes[slot]:
                 continue
             need = sizes[slot] - have
             count = 0
             for line in range(d):
-                if slot in line_slots[line]:
+                if slot_lines[slot] >> line & 1:
                     continue
                 if may_join(line, slot):
                     count += 1
@@ -192,50 +191,50 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
 
     def search(ptr: int) -> CliquePartition | None:
         nonlocal nodes
-        while ptr < len(pairs) and covered[pairs[ptr][0]][pairs[ptr][1]]:
+        while ptr < len(pairs):
+            i, j = pairs[ptr]
+            met = 0  # lines already sharing a slot with i
+            for slot in line_slots[i]:
+                met |= slot_lines[slot]
+            if not met >> j & 1:
+                break
             ptr += 1
         if ptr == len(pairs):
-            return CliquePartition(d, tuple(tuple(m) for m in members))
-        i, j = pairs[ptr]
+            points = (tuple(line for line in range(d) if mask >> line & 1) for mask in slot_lines)
+            return CliquePartition(d, tuple(points))
 
         candidates: list[int] = []
         for slot in line_slots[i]:
-            if len(members[slot]) < sizes[slot] and may_join(j, slot):
+            if slot_lines[slot].bit_count() < sizes[slot] and may_join(j, slot):
                 candidates.append(slot)
         seen_sizes: set[int] = set()
         for slot in range(n_slots):
-            if members[slot]:
+            if slot_lines[slot]:
                 continue
             size = sizes[slot]
             if size in seen_sizes:
                 continue
             seen_sizes.add(size)
             if may_join(i, slot) and may_join(j, slot):
-                # a seeded pair also needs the mutual share check after i joins
                 candidates.append(slot)
 
         for slot in candidates:
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(nodes)
-            seeded = not members[slot]
+            # seeding with i leaves j's degree, slots and pair (i, j) as they were,
+            # so j may still join
+            seeded = not slot_lines[slot]
             if seeded:
                 join(i, slot)
-                if not may_join(j, slot):
-                    unjoin(i, slot)
-                    continue
-                join(j, slot)
-            else:
-                join(j, slot)
+            join(j, slot)
             if slots_completable():
                 witness = search(ptr)
                 if witness is not None:
                     return witness
+            unjoin(j)
             if seeded:
-                unjoin(j, slot)
-                unjoin(i, slot)
-            else:
-                unjoin(j, slot)
+                unjoin(i)
         return None
 
     witness = search(0)

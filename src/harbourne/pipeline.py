@@ -261,7 +261,7 @@ def classify_candidate(
             result = realize_over_prime_field(tv, p, node_budget)
             if result.found:
                 found = certificate_from_configuration(
-                    f"search-f{p}-d{tv.d}", result.configuration
+                    f"search-f{p}-d{tv.d}", result.configuration, tv
                 )
                 verify_certificate(found)
                 return CandidateStatus(

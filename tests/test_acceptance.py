@@ -201,7 +201,7 @@ def test_criterion_6_property_suites():
     ]:
         requested = TVector.from_mapping(d, counts)
         outcome = realize_over_prime_field(requested, p)
-        cert = certificate_from_configuration("roundtrip", outcome.configuration)
+        cert = certificate_from_configuration("roundtrip", outcome.configuration, requested)
         assert verify_certificate(cert).tvector == requested
     print(f"PASS criterion 6: invariants hold on {len(configs)} verified configurations")
 

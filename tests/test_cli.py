@@ -213,6 +213,11 @@ class TestTable:
         code, _, _ = run(capsys, "table", "--max-d", "11")
         assert code == 2
 
+    def test_unsupported_field_usage_error(self, capsys):
+        code, _, err = run(capsys, "table", "--fields", "4", "--max-d", "10")
+        assert code == 2
+        assert "unsupported" in err
+
     def test_starved_budget_is_integrity_error(self, capsys):
         code, _, err = run(capsys, "table", "--max-d", "2", "--budget", "0")
         assert code == 4

@@ -70,7 +70,7 @@ class TestParityProfile:
 
     def test_fano_profile_is_three_triples(self):
         profiles = enumerate_line_profiles(tv(7, {3: 7}))
-        assert [p.parts for p in profiles] == [(3, 3, 3)]
+        assert profiles == [(3, 3, 3)]
 
 
 class TestHirzebruch:

@@ -203,20 +203,22 @@ class TestRealization:
     def test_roundtrip_through_certificate(self):
         vector = TVector.from_mapping(10, {3: 9, 4: 3})
         out = realize_over_prime_field(vector, 3)
-        cert = certificate_from_configuration("roundtrip", out.configuration)
+        cert = certificate_from_configuration("roundtrip", out.configuration, vector)
         assert verify_certificate(cert).tvector == vector
 
 
 class TestCertificates:
     def test_json_roundtrip_is_byte_stable(self):
         config = dual_hesse_config()
-        cert = certificate_from_configuration("dual-hesse", config)
+        claimed = TVector.from_mapping(9, {3: 12})
+        cert = certificate_from_configuration("dual-hesse", config, claimed)
         dumped = json.dumps(cert.to_json())
         reloaded = Certificate.from_json(json.loads(dumped))
         assert json.dumps(reloaded.to_json()) == dumped
 
     def test_schema_field_order(self):
-        cert = certificate_from_configuration("t", rational_config([(1, 0, 0), (0, 1, 0)]))
+        config = rational_config([(1, 0, 0), (0, 1, 0)])
+        cert = certificate_from_configuration("t", config, TVector.from_mapping(2, {2: 1}))
         assert list(cert.to_json()) == ["label", "field", "lines", "claimed_tvector"]
 
     def test_claimed_mismatch_fails_loudly(self):

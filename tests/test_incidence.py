@@ -77,11 +77,13 @@ def test_pencil_is_single_clique():
     out = feasible_arrangement(tv(3, {3: 1}))
     assert out.feasible
     assert out.witness.points == ((0, 1, 2),)
+    assert out.nodes_explored == 2
 
 
 def test_two_triple_points_on_four_lines_infeasible():
     out = feasible_arrangement(tv(4, {3: 2}))
     assert not out.feasible and out.exhausted
+    assert out.nodes_explored == 0
 
 
 def test_fano_vector_feasible():
@@ -90,11 +92,13 @@ def test_fano_vector_feasible():
     assert validate_partition(out.witness, tv(7, {3: 7}))
     # witness is a Steiner triple system: 7 triples covering all 21 pairs
     assert len(out.witness.points) == 7
+    assert out.nodes_explored == 14
 
 
 def test_d10_seven_fourfold_points_infeasible():
     out = feasible_arrangement(tv(10, {3: 1, 4: 7}))
     assert not out.feasible and out.exhausted
+    assert out.nodes_explored == 3
 
 
 def test_validate_fano_partition():
@@ -115,6 +119,7 @@ def test_roundtrip_witness_validates():
     out = feasible_arrangement(vector)
     assert out.feasible
     assert validate_partition(out.witness, vector)
+    assert out.nodes_explored == 28
 
 
 def test_per_line_parity_on_witnesses():
@@ -127,14 +132,16 @@ def test_per_line_parity_on_witnesses():
 
 
 def test_witness_deterministic():
-    first = feasible_arrangement(tv(9, {3: 12})).witness
-    second = feasible_arrangement(tv(9, {3: 12})).witness
-    assert first == second
+    first = feasible_arrangement(tv(9, {3: 12}))
+    second = feasible_arrangement(tv(9, {3: 12}))
+    assert first.witness == second.witness
+    assert first.nodes_explored == second.nodes_explored == 41
 
 
 def test_budget_exhaustion_raises():
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded) as excinfo:
         feasible_arrangement(tv(9, {3: 12}), node_budget=3)
+    assert excinfo.value.nodes == 4
 
 
 def test_infeasible_requires_exhausted():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from harbourne import pipeline
 from harbourne.criteria import MODE_ABSOLUTE, MODE_COMPLEX
 from harbourne.pipeline import (
     ST_EXCLUDED,
@@ -13,7 +14,7 @@ from harbourne.pipeline import (
     compute_table,
 )
 from harbourne.tspace import TVector
-from harbourne.geometry import verify_certificate
+from harbourne.geometry import CertificateError, realize_over_prime_field, verify_certificate
 
 
 @pytest.fixture(scope="module")
@@ -112,12 +113,24 @@ class TestClassify:
     def test_infeasible_case(self, db):
         st = classify_candidate(tv(10, {3: 7, 4: 4}), MODE_ABSOLUTE, (2, 3), db)
         assert st.status == ST_INFEASIBLE
+        assert st.detail.endswith("(exhaustive, 408526 nodes)")
 
     def test_search_realization_when_db_misses(self, db):
         # no database entry has this T-vector; the F_2 search must find it
         st = classify_candidate(tv(5, {2: 4, 3: 2}), MODE_ABSOLUTE, (2,), _empty_db(), None)
         assert st.status == ST_REALIZED
         assert st.certificate.label == "search-f2-d5"
+
+    def test_search_result_must_match_requested_tvector(self, monkeypatch):
+        # a search returning some other configuration must not be certified
+        other = tv(5, {2: 4, 4: 1})  # a pencil of four lines plus one line
+
+        def wrong_search(requested, p, node_budget=None):
+            return realize_over_prime_field(other, 3, node_budget)
+
+        monkeypatch.setattr(pipeline, "realize_over_prime_field", wrong_search)
+        with pytest.raises(CertificateError):
+            classify_candidate(tv(5, {2: 4, 3: 2}), MODE_ABSOLUTE, (2,), _empty_db(), None)
 
     def test_complex_mode_never_uses_finite_fields(self, db):
         # realizable over F_3 but not over C; complex mode may not claim it
