@@ -15,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from harbourne.criteria import MODE_ABSOLUTE, MODE_COMPLEX
+from harbourne.exactnum import SUPPORTED_PRIMES
 from harbourne.pipeline import builtin_certificates, compute_table
 from harbourne.tspace import render_decimal
 
@@ -26,7 +27,16 @@ def main() -> int:
     parser.add_argument("--out", default="results")
     args = parser.parse_args()
 
-    fields = tuple(int(f) for f in args.fields.split(","))
+    # usage errors exit 2, as in `harbourne table`
+    if not 2 <= args.max_d <= 10:
+        parser.error(f"max-d must lie in [2, 10], got {args.max_d}")
+    try:
+        fields = tuple(int(f) for f in args.fields.split(",") if f.strip())
+    except ValueError:
+        parser.error(f"malformed field list {args.fields!r}")
+    unsupported = [p for p in fields if p not in SUPPORTED_PRIMES]
+    if unsupported:
+        parser.error(f"unsupported field(s) {unsupported}; choose from {SUPPORTED_PRIMES}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     db = builtin_certificates()

@@ -11,7 +11,13 @@ a machine-readable reason:
   multiplicities m satisfy sum (m-1) = d-1, and the d per-line profiles
   must jointly account for exactly k*t_k incidences at k-fold points;
 * the Hirzebruch bound t_2 + (3/4) t_3 >= d + sum_{k>=5} (k-4) t_k, valid
-  for complex configurations once t_d = t_{d-1} = 0 (complex mode only).
+  for complex configurations once t_d = t_{d-1} = 0 (complex mode only);
+* point pairs: two singular points share at most one line (de Bruijn-Erdos
+  1948), so the line profiles must also fit the budgets of C(t_k, 2)
+  pairs of k-fold points and t_j * t_k mixed pairs.  The same budgets
+  bind clique partitions of K_d (two cliques share at most one vertex),
+  so the filter never excludes a combinatorially feasible T.  It runs
+  last, after the Hirzebruch bound in complex mode.
 
 Filters never prove existence; sufficiency is the incidence module's job.
 """
@@ -124,14 +130,23 @@ def enumerate_line_profiles(tv: TVector) -> list[tuple[int, ...]]:
     line meets at most t_m points of multiplicity m, and since each m
     counts the line itself, the parts satisfy sum (m-1) = d-1.
     """
+    return _line_profiles(tv)[1]
+
+
+def _line_profiles(tv: TVector) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """(ks, profiles, counts): the multiplicities present in T, descending, the
+    admissible profiles, and counts[i][a], how often ks[a] occurs in profiles[i]."""
     ks = [k for k in range(tv.d, 1, -1) if tv.t(k) > 0]
     target = tv.d - 1
     profiles: list[tuple[int, ...]] = []
+    counts: list[tuple[int, ...]] = []
     parts: list[int] = []
+    per_class = [0] * len(ks)  # every loop below ends at count 0, so deeper entries are 0
 
     def descend(idx: int, remaining: int) -> None:
         if remaining == 0:
             profiles.append(tuple(parts))
+            counts.append(tuple(per_class))
             return
         if idx == len(ks):
             return
@@ -139,48 +154,98 @@ def enumerate_line_profiles(tv: TVector) -> list[tuple[int, ...]]:
         max_count = min(tv.t(k), remaining // (k - 1))
         for count in range(max_count, -1, -1):
             parts.extend([k] * count)
+            per_class[idx] = count
             descend(idx + 1, remaining - count * (k - 1))
             del parts[len(parts) - count :]
 
     descend(0, target)
-    return profiles
+    return ks, profiles, counts
 
 
-def _profile_mix_exists(tv: TVector, profiles: list[tuple[int, ...]]) -> bool:
-    """Decide if non-negative profile counts x_P can meet all incidence totals.
+def _profile_mix(tv: TVector, ks: list[int], counts: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """First non-negative profile counts x_P meeting the incidence totals, or None.
 
     Constraints: sum x_P = d, and for each multiplicity m the profiles
     jointly contain m * t_m occurrences of m (each of the t_m points of
     multiplicity m lies on exactly m lines).
     """
-    ks = [k for k in range(2, tv.d + 1) if tv.t(k) > 0]
-    vectors = [tuple(p.count(k) for k in ks) for p in profiles]
-    targets = tuple(k * tv.t(k) for k in ks)
-    seen: dict[tuple, bool] = {}
+    totals = tuple(k * tv.t(k) for k in ks)
+    # lines of a configuration tend to look alike, so the profiles nearest the
+    # average line (totals / d) go first; the first mix then fits the point-pair
+    # budgets more often
+    distance = [sum((tv.d * c - t) ** 2 for c, t in zip(vec, totals)) for vec in counts]
+    order = sorted(range(len(counts)), key=distance.__getitem__)
+    found = _first_mix(tv.d, [counts[i] for i in order], totals, len(ks))
+    if found is None:
+        return None
+    mix = [0] * len(counts)
+    for i, x in zip(order, found):
+        mix[i] = x
+    return tuple(mix)
 
-    def feasible(idx: int, lines_left: int, budgets: tuple[int, ...]) -> bool:
-        if idx == len(vectors):
-            return lines_left == 0 and all(b == 0 for b in budgets)
-        key = (idx, lines_left, budgets)
-        if key in seen:
-            return seen[key]
+
+def _first_mix(
+    lines: int, vectors: list[tuple[int, ...]], totals: tuple[int, ...], exact: int
+) -> tuple[int, ...] | None:
+    """First x >= 0 with sum x = lines and sum_P x_P * vectors[P] fitting ``totals``.
+
+    The first ``exact`` entries must be met exactly, the others only not
+    exceeded.  Counts are tried largest-first, one vector at a time.
+    """
+    if not vectors:
+        return None
+    # the least and the most a line of vector idx or later adds to each entry
+    lows, highs = list(vectors), list(vectors)
+    for idx in range(len(vectors) - 2, -1, -1):
+        lows[idx] = tuple(map(min, lows[idx], lows[idx + 1]))
+        highs[idx] = tuple(map(max, highs[idx], highs[idx + 1]))
+    failed: set[tuple] = set()
+    mix: list[int] = []
+    last = len(vectors) - 1
+
+    def fill(idx: int, lines_left: int, left: tuple[int, ...]) -> bool:
         vec = vectors[idx]
+        if idx == last:
+            # the last vector takes every remaining line
+            for a, (b, c) in enumerate(zip(left, vec)):
+                if b < lines_left * c or (a < exact and b > lines_left * c):
+                    return False
+            mix.append(lines_left)
+            return True
+        for a, (b, low, high) in enumerate(zip(left, lows[idx], highs[idx])):
+            if b < lines_left * low or (a < exact and b > lines_left * high):
+                return False
+        key = (idx, lines_left, left)
+        if key in failed:
+            return False
         cap = lines_left
-        for c, b in zip(vec, budgets):
-            if c:
-                cap = min(cap, b // c)
-        ok = False
+        for c, b in zip(vec, left):
+            if c and b < c * cap:
+                cap = b // c
         for x in range(cap, -1, -1):
-            nxt = tuple(b - x * c for b, c in zip(budgets, vec))
-            if idx + 1 == len(vectors) and (lines_left - x != 0 or any(nxt)):
-                continue
-            if feasible(idx + 1, lines_left - x, nxt):
-                ok = True
-                break
-        seen[key] = ok
-        return ok
+            mix.append(x)
+            if fill(idx + 1, lines_left - x, tuple([b - x * c for b, c in zip(left, vec)])):
+                return True
+            mix.pop()
+        failed.add(key)
+        return False
 
-    return feasible(0, tv.d, targets)
+    return tuple(mix) if fill(0, lines, totals) else None
+
+
+def _pair_budgets(tv: TVector, ks: list[int]) -> list[tuple[int, int, int]]:
+    """(a, b, pairs available) for each class pair a <= b, in lexicographic order."""
+    points = [tv.t(k) for k in ks]
+    return [
+        (a, b, comb(ta, 2) if a == b else ta * points[b])
+        for a, ta in enumerate(points)
+        for b in range(a, len(ks))
+    ]
+
+
+def _pair_use(vec: tuple[int, ...], budgets: list[tuple[int, int, int]]) -> tuple[int, ...]:
+    """Point pairs one line of this profile spends from each budget."""
+    return tuple(vec[a] * (vec[a] - 1) // 2 if a == b else vec[a] * vec[b] for a, b, _ in budgets)
 
 
 def parity_profile_filter(tv: TVector) -> ExclusionVerdict:
@@ -192,22 +257,96 @@ def parity_profile_filter(tv: TVector) -> ExclusionVerdict:
     points collect exactly k * t_k incidences for every k.
     """
     _require_valid(tv)
-    profiles = enumerate_line_profiles(tv)
+    ks, profiles, counts = _line_profiles(tv)
+    return _parity_verdict(tv, ks, profiles, _profile_mix(tv, ks, counts))
+
+
+def _parity_verdict(
+    tv: TVector, ks: list[int], profiles: list[tuple[int, ...]], mix: tuple[int, ...] | None
+) -> ExclusionVerdict:
     if not profiles:
-        present = sorted(k for k in range(2, tv.d + 1) if tv.t(k) > 0)
         return _excluded(
             "parity_profile",
-            f"d-1 = {tv.d - 1} is not a sum of parts (m-1) for m in {present} "
+            f"d-1 = {tv.d - 1} is not a sum of parts (m-1) for m in {sorted(ks)} "
             f"with at most t_m parts of each size",
         )
-    if not _profile_mix_exists(tv, profiles):
-        shapes = ", ".join("{" + ",".join(map(str, p)) + "}" for p in profiles)
+    if mix is None:
+        shapes = ", ".join(_shape(p) for p in profiles)
         return _excluded(
             "parity_profile",
             f"no assignment of the {len(profiles)} admissible line profiles [{shapes}] "
             f"to {tv.d} lines meets the incidence totals k*t_k",
         )
     return _passed()
+
+
+def _shape(profile: tuple[int, ...]) -> str:
+    return "{" + ",".join(map(str, profile)) + "}"
+
+
+def point_pairs_filter(tv: TVector) -> ExclusionVerdict:
+    """Check that some profile mix also fits the point-pair budgets.
+
+    Two singular points lie on at most one common line (de Bruijn-Erdos
+    1948).  A line whose profile has c_j points of multiplicity j and c_k
+    of multiplicity k joins C(c_k, 2) pairs of k-fold points and
+    c_j * c_k pairs of a j-fold and a k-fold point, and no pair is joined
+    twice, so the d lines' profile counts x_P must satisfy
+
+        sum_P x_P * C(c_k(P), 2)      <= C(t_k, 2)   for every k,
+        sum_P x_P * c_j(P) * c_k(P)   <= t_j * t_k   for every j < k,
+
+    on top of the incidence totals of :func:`parity_profile_filter`.
+    Dually, two cliques of a clique partition of K_d share at most one
+    vertex, so the same budgets bind the incidence search, and this filter
+    never excludes a T that admits a clique partition.  The first mix of
+    the incidence totals is checked directly; only an overdrawn one starts
+    a search over mixes under the budgets.  With no mix at all the filter
+    is inapplicable and passes (that exclusion is
+    :func:`parity_profile_filter`'s).
+    """
+    _require_valid(tv)
+    ks, profiles, counts = _line_profiles(tv)
+    return _point_pairs_verdict(tv, ks, profiles, counts, _profile_mix(tv, ks, counts))
+
+
+def _point_pairs_verdict(
+    tv: TVector,
+    ks: list[int],
+    profiles: list[tuple[int, ...]],
+    counts: list[tuple[int, ...]],
+    first: tuple[int, ...] | None,
+) -> ExclusionVerdict:
+    if first is None:
+        return _passed("inapplicable: no line-profile mix meets the incidence totals")
+    budgets = _pair_budgets(tv, ks)
+    used = [(x, p, _pair_use(vec, budgets)) for x, p, vec in zip(first, profiles, counts) if x]
+    spent = [sum(x * use[i] for x, _, use in used) for i in range(len(budgets))]
+    overdrawn = [i for i, (need, (_, _, cap)) in enumerate(zip(spent, budgets)) if need > cap]
+    if not overdrawn:
+        return _passed()
+    totals = tuple(k * tv.t(k) for k in ks) + tuple(cap for _, _, cap in budgets)
+    joined = [vec + _pair_use(vec, budgets) for vec in counts]
+    if _first_mix(tv.d, joined, totals, len(ks)) is not None:
+        return _passed()
+    # name the first budget the first mix overdraws
+    i = overdrawn[0]
+    a, b, cap = budgets[i]
+    spenders = [(x, p, use[i]) for x, p, use in used if use[i]]
+    lines = " + ".join(
+        f"{x} x {_shape(p)}" + (f" ({x * u})" if len(spenders) > 1 else "") for x, p, u in spenders
+    )
+    j, k = ks[b], ks[a]  # ks is descending
+    if j == k:
+        what, available = f"pairs of {k}-fold points", f"C({tv.t(k)},2) = {cap}"
+    else:
+        what = f"pairs of a {j}-fold and a {k}-fold point"
+        available = f"{tv.t(j)}*{tv.t(k)} = {cap}"
+    return _excluded(
+        "point_pairs",
+        f"no line-profile mix fits the point-pair budgets; in the first, "
+        f"{lines} need {spent[i]} {what}, but only {available} exist",
+    )
 
 
 def hirzebruch_filter(tv: TVector) -> ExclusionVerdict:
@@ -233,15 +372,23 @@ def apply_all(tv: TVector, mode: str) -> ExclusionVerdict:
     """Run the filters cheapest-first; return the first exclusion, else passed.
 
     Order is fixed (multiplicity sums, two pencils, line profiles, then in
-    complex mode the Hirzebruch bound) so audit trails are reproducible.
+    complex mode the Hirzebruch bound, and last the point-pair budgets) so
+    audit trails are reproducible.  Point pairs run last so that every
+    exclusion an earlier filter makes keeps its criterion.  The line
+    profiles and their first mix are computed once for the two profile
+    filters.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    filters = [multiplicity_sum_filter, two_pencils_filter, parity_profile_filter]
-    if mode == MODE_COMPLEX:
-        filters.append(hirzebruch_filter)
-    for f in filters:
+    for f in (multiplicity_sum_filter, two_pencils_filter):
         verdict = f(tv)
         if verdict.is_excluded:
             return verdict
-    return _passed("all filters passed")
+    ks, profiles, counts = _line_profiles(tv)
+    first = _profile_mix(tv, ks, counts)
+    verdict = _parity_verdict(tv, ks, profiles, first)
+    if not verdict.is_excluded and mode == MODE_COMPLEX:
+        verdict = hirzebruch_filter(tv)
+    if not verdict.is_excluded:
+        verdict = _point_pairs_verdict(tv, ks, profiles, counts, first)
+    return verdict if verdict.is_excluded else _passed("all filters passed")

@@ -100,11 +100,14 @@ class CertificateDatabase:
     def __init__(self, certificates: list[Certificate]):
         self.certificates: dict[str, Certificate] = {}
         self.reports: dict[str, VerificationReport] = {}
+        self._by_tvector: dict[TVector, list[Certificate]] = {}  # each list in DB order
         for cert in certificates:
             if cert.label in self.certificates:
                 raise ValueError(f"duplicate certificate label {cert.label!r}")
-            self.reports[cert.label] = verify_certificate(cert)
+            report = verify_certificate(cert)
+            self.reports[cert.label] = report
             self.certificates[cert.label] = cert
+            self._by_tvector.setdefault(report.tvector, []).append(cert)
 
     def __len__(self) -> int:
         return len(self.certificates)
@@ -119,12 +122,9 @@ class CertificateDatabase:
         return list(self.certificates)
 
     def find(self, tv: TVector, kinds: tuple[str, ...]) -> Certificate | None:
-        """First certificate matching (d, T) whose field kind is admissible."""
-        for label, cert in self.certificates.items():
-            if cert.field.kind not in kinds:
-                continue
-            report = self.reports[label]
-            if report.d == tv.d and report.tvector == tv:
+        """First certificate, in DB order, of T whose field kind is admissible."""
+        for cert in self._by_tvector.get(tv, ()):
+            if cert.field.kind in kinds:
                 return cert
         return None
 

@@ -15,9 +15,11 @@ import pytest
 from harbourne.criteria import (
     MODE_ABSOLUTE,
     MODE_COMPLEX,
+    apply_all,
     hirzebruch_filter,
     multiplicity_sum_filter,
     parity_profile_filter,
+    point_pairs_filter,
     two_pencils_filter,
 )
 from harbourne.geometry import (
@@ -187,6 +189,7 @@ def test_criterion_6_property_suites():
         assert not multiplicity_sum_filter(tv).is_excluded, label
         assert not two_pencils_filter(tv).is_excluded, label
         assert not parity_profile_filter(tv).is_excluded, label
+        assert not point_pairs_filter(tv).is_excluded, label
 
         # Hirzebruch on characteristic-0 certificates with small top multiplicities
         if config.field.characteristic == 0 and tv.t(d) == 0 and tv.t(d - 1) == 0:
@@ -284,6 +287,11 @@ def test_criterion_7_oracle_equivalence():
         for tv in enumerate_tvectors(d):
             expected = tv.counts in achievable
             assert feasible_arrangement(tv).feasible is expected, tv
+            # no filter excludes a clique-partition histogram (Hirzebruch, not a
+            # combinatorial bound, first does so at d = 7 with Fano)
+            if expected:
+                assert not apply_all(tv, MODE_ABSOLUTE).is_excluded, tv
+                assert not apply_all(tv, MODE_COMPLEX).is_excluded, tv
             checked += 1
 
     abs_rows = {row.d: row.value for row in compute_table(6, MODE_ABSOLUTE, (2, 3), DB)}

@@ -3,14 +3,17 @@ import pytest
 from harbourne.criteria import (
     MODE_ABSOLUTE,
     MODE_COMPLEX,
+    _line_profiles,
+    _profile_mix,
     apply_all,
     enumerate_line_profiles,
     hirzebruch_filter,
     multiplicity_sum_filter,
     parity_profile_filter,
+    point_pairs_filter,
     two_pencils_filter,
 )
-from harbourne.incidence import feasible_arrangement
+from harbourne.incidence import SearchBudgetExceeded, feasible_arrangement
 from harbourne.tspace import TVector, enumerate_tvectors
 
 
@@ -91,6 +94,126 @@ class TestHirzebruch:
         assert not v.is_excluded and "inapplicable" in v.detail
 
 
+class TestPointPairs:
+    def test_d10_three_lines_of_three_fourfold_points(self):
+        v = point_pairs_filter(tv(10, {3: 7, 4: 4}))
+        assert v.is_excluded and v.criterion == "point_pairs"
+        assert "3 x {4,4,4} need 9 pairs of 4-fold points" in v.detail
+        assert "only C(4,2) = 6 exist" in v.detail
+
+    def test_detail_names_a_mixed_budget(self):
+        v = point_pairs_filter(tv(7, {2: 3, 3: 4, 4: 1}))
+        assert v.is_excluded
+        assert "4 x {4,3,2} need 4 pairs of a 2-fold and a 4-fold point" in v.detail
+        assert "only 3*1 = 3 exist" in v.detail
+
+    def test_detail_sums_every_spending_profile(self):
+        v = point_pairs_filter(tv(9, {2: 3, 3: 5, 4: 3}))
+        assert v.is_excluded
+        assert "3 x {4,4,3} (6) + 6 x {4,3,3,2} (12) need 18 pairs of a 3-fold and a 4-fold point" in v.detail
+        assert "only 5*3 = 15 exist" in v.detail
+
+    def test_realizable_vectors_pass(self):
+        for vector in (tv(7, {3: 7}), tv(9, {3: 12}), tv(10, {3: 9, 4: 3}), tv(10, {2: 3, 3: 10, 4: 2})):
+            assert not point_pairs_filter(vector).is_excluded, vector
+
+    def test_overdrawn_first_mix_is_not_enough(self):
+        # the first mix puts {3,3,2} on four lines, which needs 4 of the
+        # C(3,2) = 3 pairs of triple points; the filter must search on
+        vector = tv(6, {2: 6, 3: 3})
+        profiles = enumerate_line_profiles(vector)
+        assert profiles == [(3, 3, 2), (3, 2, 2, 2), (2, 2, 2, 2, 2)]
+        ks, _, counts = _line_profiles(vector)
+        assert _profile_mix(vector, ks, counts) == (4, 1, 1)
+        assert not point_pairs_filter(vector).is_excluded
+        assert feasible_arrangement(vector).feasible
+
+    def test_inapplicable_without_a_profile_mix(self):
+        v = point_pairs_filter(tv(9, {3: 10, 4: 1}))
+        assert not v.is_excluded and "inapplicable" in v.detail
+
+    def test_low_d_exclusions_are_proven_infeasible(self):
+        # every point_pairs exclusion at d <= 8, each confirmed by the exhaustive search
+        nodes_to_exhaust = {tv(7, {2: 3, 3: 4, 4: 1}): 4_064, tv(8, {2: 6, 3: 4, 5: 1}): 45_157}
+        assert [v for v in POINT_PAIRS_EXCLUDED[MODE_ABSOLUTE] if v.d <= 8] == list(nodes_to_exhaust)
+        for vector, nodes in nodes_to_exhaust.items():
+            out = feasible_arrangement(vector)
+            assert not out.feasible and out.exhausted
+            assert out.nodes_explored == nodes
+
+    def test_high_d_exclusions_never_yield_a_witness(self):
+        # cross-check at d = 9, 10: a short search may run out, but never finds a partition
+        excluded = [v for v in POINT_PAIRS_EXCLUDED[MODE_ABSOLUTE] if v.d >= 9]
+        assert len(excluded) == 24
+        for vector in excluded:
+            try:
+                assert not feasible_arrangement(vector, node_budget=2_000).feasible, vector
+            except SearchBudgetExceeded:
+                pass
+
+    @pytest.mark.parametrize("mode", [MODE_ABSOLUTE, MODE_COMPLEX])
+    def test_exclusion_set_up_to_ten_lines(self, mode):
+        found = [
+            vector
+            for d in range(2, 11)
+            for vector in enumerate_tvectors(d)
+            if apply_all(vector, mode).criterion == "point_pairs"
+        ]
+        assert found == POINT_PAIRS_EXCLUDED[mode]
+
+
+def _decoded(*encoded):
+    return [TVector.decode(len(e.split(",")) + 1, e) for e in encoded]
+
+
+# in enumeration order; in complex mode the Hirzebruch bound takes the rest
+POINT_PAIRS_EXCLUDED = {
+    MODE_ABSOLUTE: _decoded(
+        "3,4,1,0,0,0",
+        "6,4,0,1,0,0,0",
+        "2,8,0,1,0,0,0,0",
+        "3,5,3,0,0,0,0,0",
+        "3,9,1,0,0,0,0,0",
+        "5,7,0,1,0,0,0,0",
+        "6,5,0,0,1,0,0,0",
+        "8,4,1,1,0,0,0,0",
+        "9,4,0,0,1,0,0,0",
+        "0,7,4,0,0,0,0,0,0",
+        "3,2,6,0,0,0,0,0,0",
+        "3,4,5,0,0,0,0,0,0",
+        "3,9,0,0,1,0,0,0,0",
+        "6,1,6,0,0,0,0,0,0",
+        "5,6,2,1,0,0,0,0,0",
+        "6,3,5,0,0,0,0,0,0",
+        "5,8,1,1,0,0,0,0,0",
+        "6,8,0,0,1,0,0,0,0",
+        "9,0,6,0,0,0,0,0,0",
+        "8,5,2,1,0,0,0,0,0",
+        "9,2,5,0,0,0,0,0,0",
+        "9,7,0,0,1,0,0,0,0",
+        "12,1,5,0,0,0,0,0,0",
+        "9,5,0,0,0,1,0,0,0",
+        "12,4,1,0,1,0,0,0,0",
+        "12,4,0,0,0,1,0,0,0",
+    ),
+    MODE_COMPLEX: _decoded(
+        "6,4,0,1,0,0,0",
+        "3,9,1,0,0,0,0,0",
+        "5,7,0,1,0,0,0,0",
+        "8,4,1,1,0,0,0,0",
+        "9,4,0,0,1,0,0,0",
+        "5,8,1,1,0,0,0,0,0",
+        "6,8,0,0,1,0,0,0,0",
+        "8,5,2,1,0,0,0,0,0",
+        "9,2,5,0,0,0,0,0,0",
+        "9,7,0,0,1,0,0,0,0",
+        "12,1,5,0,0,0,0,0,0",
+        "12,4,1,0,1,0,0,0,0",
+        "12,4,0,0,0,1,0,0,0",
+    ),
+}
+
+
 class TestApplyAll:
     def test_modes_validated(self):
         with pytest.raises(ValueError):
@@ -109,6 +232,12 @@ class TestApplyAll:
 
     def test_hirzebruch_not_applied_in_absolute_mode(self):
         assert not apply_all(tv(7, {3: 7}), MODE_ABSOLUTE).is_excluded
+
+    def test_point_pairs_run_last(self):
+        # both filters exclude (0,7,4) at d = 10; the earlier one names it
+        vector = tv(10, {3: 7, 4: 4})
+        assert apply_all(vector, MODE_COMPLEX).criterion == "hirzebruch"
+        assert apply_all(vector, MODE_ABSOLUTE).criterion == "point_pairs"
 
     def test_verdict_serialization(self):
         v = apply_all(tv(5, {2: 1, 3: 3}), MODE_ABSOLUTE)

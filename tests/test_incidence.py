@@ -101,6 +101,13 @@ def test_d10_seven_fourfold_points_infeasible():
     assert out.nodes_explored == 3
 
 
+def test_d10_three_lines_of_three_fourfold_points_infeasible():
+    # the point_pairs filter excludes this T; the exhaustive proof stays here
+    out = feasible_arrangement(tv(10, {3: 7, 4: 4}))
+    assert not out.feasible and out.exhausted
+    assert out.nodes_explored == 408_526
+
+
 def test_validate_fano_partition():
     assert validate_partition(fano_partition(), tv(7, {3: 7}))
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from harbourne import pipeline
+from harbourne import criteria, pipeline
 from harbourne.criteria import MODE_ABSOLUTE, MODE_COMPLEX
 from harbourne.pipeline import (
     ST_EXCLUDED,
@@ -111,9 +111,19 @@ class TestClassify:
         assert st.criterion == "two_pencils"
 
     def test_infeasible_case(self, db):
+        # the exhaustive proof of this vector lives in test_incidence
         st = classify_candidate(tv(10, {3: 7, 4: 4}), MODE_ABSOLUTE, (2, 3), db)
+        assert st.status == ST_EXCLUDED
+        assert st.criterion == "point_pairs"
+
+    def test_filter_survivor_proven_infeasible(self, db, monkeypatch):
+        # no filter survivor at d <= 9 is infeasible within a short search,
+        # so let two triple points on four lines through to the search
+        passed = criteria.ExclusionVerdict(None, "all filters passed")
+        monkeypatch.setattr(pipeline.criteria, "apply_all", lambda vector, mode: passed)
+        st = classify_candidate(tv(4, {3: 2}), MODE_ABSOLUTE, (2, 3), db)
         assert st.status == ST_INFEASIBLE
-        assert st.detail.endswith("(exhaustive, 408526 nodes)")
+        assert st.detail.endswith("(exhaustive, 0 nodes)")
 
     def test_search_realization_when_db_misses(self, db):
         # no database entry has this T-vector; the F_2 search must find it
