@@ -2,8 +2,14 @@
 
 Lines and points are both homogeneous triples (duality makes them
 interchangeable); a point lies on a line iff the dot product vanishes
-in the field.  Everything is exact: intersection points are grouped by
-normalized coordinates, never by epsilon clustering.
+in the field.  Everything is exact, with no epsilon clustering anywhere.
+Certificates are verified by determinants over Z, Z[w] or Z/p: each
+line's denominators are cleared once, two lines are distinct iff their
+cross product is nonzero, and line k passes through the meet of lines i
+and j iff det(l_i, l_j, l_k) = 0, so the multiplicities need no normal
+forms.  ``LineConfiguration`` groups intersection points by normalized
+coordinates instead; it serves realization output and is an independent
+check of the determinant path.
 
 The F_p realization search runs on the integer incidence table of
 PG(2, p); only the configuration it finds is built from exact
@@ -12,12 +18,16 @@ coordinates and verified.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add, mul, sub
 
 from .exactnum import (
+    EISENSTEIN,
+    PRIME,
     RATIONAL,
     SUPPORTED_PRIMES,
     ExactScalar,
@@ -163,13 +173,19 @@ def harbourne_value(config: LineConfiguration) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def plane_lines(p: int) -> tuple[ProjTriple, ...]:
-    """All p^2 + p + 1 normalized lines of PG(2, p), lexicographically ordered."""
+def _plane_residues(p: int) -> tuple[tuple[int, int, int], ...]:
+    """Residues of the normalized lines of PG(2, p), lexicographically ordered."""
     if p not in SUPPORTED_PRIMES:
         raise UnsupportedFieldError(f"unsupported prime {p}; choose from {SUPPORTED_PRIMES}")
+    return ((0, 0, 1), *((0, 1, c) for c in range(p)), *((1, b, c) for b in range(p) for c in range(p)))
+
+
+@lru_cache(maxsize=None)
+def plane_lines(p: int) -> tuple[ProjTriple, ...]:
+    """All p^2 + p + 1 normalized lines of PG(2, p), lexicographically ordered."""
+    residues = _plane_residues(p)
     field = FieldDescriptor.prime(p)
-    raw = [(0, 0, 1), *((0, 1, c) for c in range(p)), *((1, b, c) for b in range(p) for c in range(p))]
-    triples = tuple(ProjTriple.make(field, r) for r in raw)
+    triples = tuple(ProjTriple.make(field, r) for r in residues)
     assert len(set(triples)) == p * p + p + 1
     return triples
 
@@ -181,7 +197,7 @@ def _plane_incidence(p: int) -> tuple[tuple[int, ...], ...]:
     Points and lines share normal forms, so point j is ``plane_lines(p)[j]``;
     the dot product is symmetric, so each point also lies on p + 1 lines.
     """
-    residues = [tuple(c.residue for c in t.coords) for t in plane_lines(p)]
+    residues = _plane_residues(p)
     rows = tuple(
         tuple(j for j, (x, y, z) in enumerate(residues) if (a * x + b * y + c * z) % p == 0)
         for a, b, c in residues
@@ -272,6 +288,8 @@ def realize_over_prime_field(
         config = search(0)
     except SearchBudgetExceeded:
         return RealizationOutcome(None, False, nodes)
+    finally:
+        del search  # it refers to itself, so only the cyclic GC would free it and its state
     return RealizationOutcome(config, True, nodes)
 
 
@@ -353,13 +371,113 @@ def configuration_from_certificate(cert: Certificate) -> LineConfiguration:
         raise CertificateError(f"certificate {cert.label!r}: {exc}") from None
 
 
+def _eisenstein_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    # (a1 + b1 w)(a2 + b2 w) = (a1 a2 - b1 b2) + (a1 b2 + a2 b1 - b1 b2) w, as w^2 = -1 - w
+    (a1, b1), (a2, b2) = x, y
+    return (a1 * a2 - b1 * b2, a1 * b2 + a2 * b1 - b1 * b2)
+
+
+def _eisenstein_add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _eisenstein_sub(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _cleared_line(field: FieldDescriptor, line) -> tuple:
+    """A certificate line with its denominators cleared: a triple over Z, Z[w] or Z/p.
+
+    Scaling a line by a nonzero constant leaves the line unchanged, so Q
+    becomes Z (ints), Q(w) becomes Z[w] (a + b*w as an int pair (a, b))
+    and F_p keeps its residues.
+    """
+    if field.kind == PRIME:
+        return tuple(c.residue for c in line)
+    if field.kind == RATIONAL:
+        scale = lcm(*(c.denominator for c in line))
+        return tuple(c.numerator * (scale // c.denominator) for c in line)
+    parts = [x for c in line for x in (c.a, c.b)]
+    scale = lcm(*(x.denominator for x in parts))
+    ints = [x.numerator * (scale // x.denominator) for x in parts]
+    return tuple(zip(ints[::2], ints[1::2]))
+
+
+def _ring(field: FieldDescriptor):
+    """(times, plus, minus, is_zero) on the entries of cleared lines over ``field``."""
+    if field.kind == EISENSTEIN:
+        return _eisenstein_mul, _eisenstein_add, _eisenstein_sub, (0, 0).__eq__
+    if field.kind == PRIME:
+        p = field.p
+        return mul, add, sub, lambda x: x % p == 0
+    return mul, add, sub, (0).__eq__
+
+
+def _point_multiplicities(ring, lines: list[tuple]) -> list[int]:
+    """Multiplicity of each singular point of the cleared ``lines``, by determinants.
+
+    ``ring`` is :func:`_ring` of the lines' field.  Z, Z[w] and Z/p are
+    integral domains, so two lines are distinct iff their cross product
+    is nonzero, and line k passes through the meet of lines i and j iff
+    dot(cross(l_i, l_j), l_k) = 0.  Pairs are visited in lexicographic
+    order; a point is counted at the first pair of lines through it, so
+    only later lines need a test.
+    """
+    times, plus, minus, is_zero = ring
+    d = len(lines)
+    met = [0] * d  # met[i]: bitmask of the lines already known to meet line i at a counted point
+    mults: list[int] = []
+    for i in range(d):
+        u1, u2, u3 = lines[i]
+        for j in range(i + 1, d):
+            v1, v2, v3 = lines[j]
+            c1 = minus(times(u2, v3), times(u3, v2))
+            c2 = minus(times(u3, v1), times(u1, v3))
+            c3 = minus(times(u1, v2), times(u2, v1))
+            if is_zero(c1) and is_zero(c2) and is_zero(c3):
+                raise InvalidConfigurationError("duplicate line in configuration")
+            if met[i] >> j & 1:
+                continue
+            through = [i, j]
+            for k in range(j + 1, d):
+                w1, w2, w3 = lines[k]
+                if is_zero(plus(plus(times(c1, w1), times(c2, w2)), times(c3, w3))):
+                    through.append(k)
+            mask = sum(1 << k for k in through)
+            for k in through:
+                met[k] |= mask
+            mults.append(len(through))
+    return mults
+
+
 def verify_certificate(cert: Certificate) -> VerificationReport:
-    """Recompute the T-vector and Harbourne value; fail loudly on any mismatch."""
-    config = configuration_from_certificate(cert)
-    tv = tvector_of_configuration(config)
+    """Recompute the T-vector and Harbourne value; fail loudly on any mismatch.
+
+    The multiplicities come from exact determinants over Z, Z[w] or Z/p
+    (see :func:`_point_multiplicities`), with no normalized points.
+    """
+    ring = _ring(cert.field)
+    is_zero = ring[3]
+    try:
+        lines = []
+        for line in cert.lines:
+            if len(line) != 3:
+                raise InvalidConfigurationError(f"expected 3 coordinates, got {len(line)}")
+            cleared = _cleared_line(cert.field, line)
+            if all(map(is_zero, cleared)):
+                raise InvalidConfigurationError("all-zero coordinate triple")
+            lines.append(cleared)
+        if len(lines) < 2:
+            raise InvalidConfigurationError("a configuration needs at least 2 lines")
+        mults = _point_multiplicities(ring, lines)
+    except InvalidConfigurationError as exc:
+        raise CertificateError(f"certificate {cert.label!r}: {exc}") from None
+    d = len(lines)
+    tv = TVector.from_mapping(d, Counter(mults))
     if cert.claimed_tvector is not None and cert.claimed_tvector != tv:
         raise CertificateError(
             f"certificate {cert.label!r} claims T=({cert.claimed_tvector.encode()}) "
             f"but verification computed T=({tv.encode()})"
         )
-    return VerificationReport(tv, harbourne_value(config), config.d, config.s)
+    value = Fraction(d * d - sum(m * m for m in mults), len(mults))
+    return VerificationReport(tv, value, d, len(mults))

@@ -237,7 +237,10 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
                 unjoin(i)
         return None
 
-    witness = search(0)
+    try:
+        witness = search(0)
+    finally:
+        del search  # it refers to itself, so only the cyclic GC would free it and its state
     if witness is None:
         return SearchOutcome(False, None, nodes, True)
     return SearchOutcome(True, witness, nodes, True)

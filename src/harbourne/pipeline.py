@@ -26,8 +26,8 @@ from .exactnum import EISENSTEIN, PRIME, RATIONAL, FieldDescriptor
 from .geometry import (
     Certificate,
     VerificationReport,
+    _plane_residues,
     certificate_from_configuration,
-    plane_lines,
     realize_over_prime_field,
     verify_certificate,
 )
@@ -127,10 +127,6 @@ class CertificateDatabase:
             if cert.field.kind in kinds:
                 return cert
         return None
-
-
-def _plane_residues(p: int) -> list[tuple[int, int, int]]:
-    return [tuple(c.residue for c in line.coords) for line in plane_lines(p)]
 
 
 _Q = FieldDescriptor.rational()

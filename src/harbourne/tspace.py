@@ -174,6 +174,7 @@ def enumerate_tvectors(d: int, q_ceiling: Fraction | None = None) -> list[TVecto
         counts[k - 2] = 0
 
     descend(d, budget)
+    del descend  # it refers to itself, so only the cyclic GC would free it and its state
     if q_ceiling is not None:
         ceiling = Fraction(q_ceiling)
         solutions = [tv for tv in solutions if quotient_fraction(tv) <= ceiling]

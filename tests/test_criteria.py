@@ -1,8 +1,13 @@
+import hashlib
+import json
+from collections import Counter
+
 import pytest
 
 from harbourne.criteria import (
     MODE_ABSOLUTE,
     MODE_COMPLEX,
+    MODES,
     _line_profiles,
     _profile_mix,
     apply_all,
@@ -92,6 +97,26 @@ class TestHirzebruch:
         assert not v.is_excluded and "inapplicable" in v.detail
         v = hirzebruch_filter(tv(4, {2: 3, 3: 1}))
         assert not v.is_excluded and "inapplicable" in v.detail
+
+    @pytest.mark.parametrize("counts", [{7: 1}, {2: 6, 6: 1}, {2: 2, 3: 3, 5: 1}])
+    def test_inapplicable_with_a_point_on_d_d_minus_1_or_d_minus_2_lines(self, counts):
+        # for {2: 2, 3: 3, 5: 1}, t2 + (3/4) t3 = 17/4 < 8 = d + (5-4) t5, but the
+        # published form needs t5 = 0 at d = 7
+        v = hirzebruch_filter(tv(7, counts))
+        assert not v.is_excluded and "t_{d-2}" in v.detail
+
+    def test_inapplicable_below_six_lines(self):
+        v = hirzebruch_filter(tv(5, {2: 1, 3: 3}))
+        assert not v.is_excluded and "d < 6" in v.detail
+
+    @pytest.mark.parametrize(
+        "d, counts",
+        [(7, {3: 7}), (10, {3: 9, 4: 3}), (10, {2: 3, 3: 6, 4: 4}), (10, {2: 3, 3: 8, 4: 3})],
+    )
+    def test_entries_resting_on_this_filter_alone(self, d, counts):
+        vector = tv(d, counts)
+        assert apply_all(vector, MODE_COMPLEX).criterion == "hirzebruch"
+        assert not apply_all(vector, MODE_ABSOLUTE).is_excluded
 
 
 class TestPointPairs:
@@ -238,6 +263,33 @@ class TestApplyAll:
         vector = tv(10, {3: 7, 4: 4})
         assert apply_all(vector, MODE_COMPLEX).criterion == "hirzebruch"
         assert apply_all(vector, MODE_ABSOLUTE).criterion == "point_pairs"
+
+    def test_every_verdict_up_to_ten_lines_is_pinned(self):
+        verdicts = [
+            [mode, d, vector.encode(), apply_all(vector, mode).to_json()]
+            for mode in MODES
+            for d in range(2, 11)
+            for vector in enumerate_tvectors(d)
+        ]
+        criteria = Counter((mode, verdict["criterion"]) for mode, _, _, verdict in verdicts)
+        assert criteria == {
+            (MODE_ABSOLUTE, None): 228,
+            (MODE_ABSOLUTE, "multiplicity_sum"): 271,
+            (MODE_ABSOLUTE, "two_pencils"): 30,
+            (MODE_ABSOLUTE, "parity_profile"): 8,
+            (MODE_ABSOLUTE, "point_pairs"): 26,
+            (MODE_COMPLEX, None): 222,
+            (MODE_COMPLEX, "multiplicity_sum"): 271,
+            (MODE_COMPLEX, "two_pencils"): 30,
+            (MODE_COMPLEX, "parity_profile"): 8,
+            (MODE_COMPLEX, "hirzebruch"): 19,
+            (MODE_COMPLEX, "point_pairs"): 13,
+        }
+        hirzebruch = [(d, t) for mode, d, t, verdict in verdicts if verdict["criterion"] == "hirzebruch"]
+        # the guard t_d = t_{d-1} = t_{d-2} = 0 holds for every Hirzebruch exclusion
+        assert all(TVector.decode(d, t).counts[-3:] == (0, 0, 0) for d, t in hirzebruch)
+        digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+        assert digest == "9cc54c96b75130d5709363babc94cd32c07f37ec0e424a4495d1e5b0c992d6a5"
 
     def test_verdict_serialization(self):
         v = apply_all(tv(5, {2: 1, 3: 3}), MODE_ABSOLUTE)

@@ -1,16 +1,21 @@
 import json
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harbourne import geometry
 from harbourne.exactnum import (
+    SUPPORTED_PRIMES,
     EisensteinRational,
     FieldDescriptor,
     PrimeFieldElement,
     UnsupportedFieldError,
+    as_scalar,
 )
 from harbourne.geometry import (
     Certificate,
@@ -19,7 +24,9 @@ from harbourne.geometry import (
     LineConfiguration,
     ProjTriple,
     certificate_from_configuration,
+    configuration_from_certificate,
     _plane_incidence,
+    _plane_residues,
     cross_product,
     harbourne_value,
     incident,
@@ -68,6 +75,16 @@ class TestPlaneLines:
 
     def test_deterministic_order(self):
         assert [l.to_json() for l in plane_lines(3)] == [l.to_json() for l in plane_lines(3)]
+
+    @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+    def test_residues_are_the_normalized_lines(self, p):
+        assert _plane_residues(p) == tuple(
+            tuple(c.residue for c in line.coords) for line in plane_lines(p)
+        )
+
+    def test_residues_of_unsupported_prime(self):
+        with pytest.raises(UnsupportedFieldError):
+            _plane_residues(4)
 
     @pytest.mark.parametrize("p", (2, 3, 5))
     def test_incidence_table_matches_exact_incidence(self, p):
@@ -252,3 +269,117 @@ class TestCertificates:
         }
         with pytest.raises(CertificateError, match=r"lines\[1\]\[2\]"):
             Certificate.from_json(data)
+
+
+def normal_form_outcome(cert):
+    """The normal-form path (normalized points grouped in a dict), as an oracle."""
+    try:
+        config = configuration_from_certificate(cert)
+    except CertificateError as exc:
+        return str(exc)
+    return tvector_of_configuration(config), harbourne_value(config), config.d, config.s
+
+
+def determinant_outcome(cert):
+    try:
+        report = verify_certificate(cert)
+    except CertificateError as exc:
+        return str(exc)
+    return report.tvector, report.value, report.d, report.s
+
+
+F5 = FieldDescriptor.prime(5)
+FIELDS = [RAT, EIS, *(FieldDescriptor.prime(p) for p in SUPPORTED_PRIMES)]
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def nonzero_scalars(field):
+    if field.kind == "prime":
+        values = st.integers(1, field.p - 1)
+    elif field == EIS:
+        values = st.tuples(SMALL_FRACTIONS, SMALL_FRACTIONS).filter(lambda ab: ab != (0, 0))
+    else:
+        values = SMALL_FRACTIONS.filter(bool)
+    return values.map(lambda v: as_scalar(v, field))
+
+
+@lru_cache(maxsize=None)
+def small_lines(field):
+    """Distinct lines with entries 0 and units (+-1, and +-w, +-w^2 over Q(w)): many concurrent."""
+    units = [(1, 0), (0, 1), (-1, -1)] if field == EIS else [1]
+    digits = [0, *units, *((-a, -b) for a, b in units)] if field == EIS else [0, 1, -1]
+    normal = {ProjTriple.make(field, raw): raw for raw in product(digits, repeat=3) if any(raw)}
+    return [tuple(as_scalar(v, field) for v in raw) for raw in normal.values()]
+
+
+@st.composite
+def configurations(draw, field):
+    """2..8 distinct lines over ``field``, each a nonzero multiple of a line of ``small_lines``."""
+    pool = small_lines(field)
+    picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=8, unique=True))
+    scales = draw(st.lists(nonzero_scalars(field), min_size=len(picks), max_size=len(picks)))
+    return [tuple(c * x for x in line) for c, line in zip(scales, picks)]
+
+
+class TestDeterminantVerifier:
+    """``verify_certificate`` reads T off determinants; the normal-form path must agree."""
+
+    def test_builtins_agree_with_normal_forms(self):
+        from harbourne.pipeline import builtin_certificates
+
+        db = builtin_certificates()
+        assert len(db) == 29
+        for label in db.labels():
+            cert = db.get(label)
+            assert determinant_outcome(cert) == normal_form_outcome(cert), label
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_random_configurations_agree_with_normal_forms(self, field, data):
+        cert = Certificate("random", field, tuple(data.draw(configurations(field))))
+        assert determinant_outcome(cert) == normal_form_outcome(cert)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_a_multiple_of_a_line_is_a_duplicate(self, field, data):
+        lines = data.draw(configurations(field))
+        line = data.draw(st.sampled_from(lines))
+        c = data.draw(nonzero_scalars(field))
+        cert = Certificate("dup", field, (*lines, tuple(c * x for x in line)))
+        assert determinant_outcome(cert) == normal_form_outcome(cert)
+        assert determinant_outcome(cert).endswith("duplicate line in configuration")
+
+    def test_uses_no_normal_forms(self, monkeypatch):
+        from harbourne.pipeline import builtin_certificates
+
+        db = builtin_certificates()
+
+        def forbidden(*args):
+            raise AssertionError("normal-form path used")
+
+        monkeypatch.setattr(geometry, "cross_product", forbidden)
+        monkeypatch.setattr(ProjTriple, "make", forbidden)
+        for label in db.labels():
+            assert verify_certificate(db.get(label)).tvector == db.reports[label].tvector
+
+    @pytest.mark.parametrize(
+        "field, lines, message",
+        [
+            # a line and w times it: w * w = w^2 = -1 - w
+            (EIS, [((1, 0), (0, 1), (0, 0)), ((0, 1), (-1, -1), (0, 0)), ((0, 0), (0, 0), (1, 0))],
+             "duplicate line"),
+            # a line and 2 times it over F_5
+            (F5, [(1, 2, 3), (2, 4, 1), (0, 0, 1)], "duplicate line"),
+            (RAT, [(1, 0, 0)], "at least 2 lines"),
+            (RAT, [(1, 0), (0, 1, 0), (0, 0, 1)], "expected 3 coordinates, got 2"),
+            (RAT, [(1, 0, 0), (0, 0, 0), (0, 0, 1)], "all-zero coordinate triple"),
+        ],
+        ids=["eisenstein-proportional", "f5-proportional", "one-line", "two-coordinates", "zero"],
+    )
+    def test_rejections_keep_type_and_message(self, field, lines, message):
+        cert = Certificate("bad", field, tuple(lines))
+        with pytest.raises(CertificateError, match=message):
+            verify_certificate(cert)
+        assert determinant_outcome(cert) == normal_form_outcome(cert)
