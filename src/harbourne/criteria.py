@@ -25,10 +25,10 @@ Filters never prove existence; sufficiency is the incidence module's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from ._value import Value
 from .tspace import TVector, check_combinatorial_identity
 
 PASSED = "passed"
@@ -39,19 +39,19 @@ MODE_COMPLEX = "complex"
 MODES = (MODE_ABSOLUTE, MODE_COMPLEX)
 
 
-@dataclass(frozen=True)
-class ExclusionVerdict:
+class ExclusionVerdict(Value):
     """Outcome of one filter (or of the whole pipeline) on a T-vector.
 
     ``criterion`` names the filter that excluded T; ``None`` means T passed.
     """
 
-    criterion: str | None
-    detail: str
+    __slots__ = ("criterion", "detail")
 
-    def __post_init__(self) -> None:
-        if self.criterion is not None and not (self.criterion and self.detail):
+    def __init__(self, criterion: str | None, detail: str) -> None:
+        if criterion is not None and not (criterion and detail):
             raise ValueError("excluded verdicts need a criterion name and a detail witness")
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "detail", detail)
 
     @property
     def is_excluded(self) -> bool:

@@ -21,8 +21,9 @@ run the same check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._value import Value
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -39,23 +40,23 @@ class UnsupportedFieldError(ValueError):
     """Raised for field descriptors outside the supported set."""
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(Value):
     """Names one of the supported coordinate fields."""
 
-    kind: str
-    p: int | None = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (RATIONAL, PRIME, EISENSTEIN):
-            raise UnsupportedFieldError(f"unknown field kind {self.kind!r}")
-        if self.kind == PRIME:
-            if self.p not in SUPPORTED_PRIMES:
+    def __init__(self, kind: str, p: int | None = None) -> None:
+        if kind not in (RATIONAL, PRIME, EISENSTEIN):
+            raise UnsupportedFieldError(f"unknown field kind {kind!r}")
+        if kind == PRIME:
+            if p not in SUPPORTED_PRIMES:
                 raise UnsupportedFieldError(
-                    f"prime field modulus must be one of {SUPPORTED_PRIMES}, got {self.p!r}"
+                    f"prime field modulus must be one of {SUPPORTED_PRIMES}, got {p!r}"
                 )
-        elif self.p is not None:
-            raise UnsupportedFieldError(f"field kind {self.kind!r} takes no modulus")
+        elif p is not None:
+            raise UnsupportedFieldError(f"field kind {kind!r} takes no modulus")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
 
     @classmethod
     def rational(cls) -> "FieldDescriptor":
@@ -93,19 +94,18 @@ class FieldDescriptor:
         return "Q" if self.kind == RATIONAL else "Q(w)"
 
 
-@dataclass(frozen=True)
-class PrimeFieldElement:
+class PrimeFieldElement(Value):
     """Residue in [0, p) for a supported prime p."""
 
-    residue: int
-    p: int
+    __slots__ = ("residue", "p")
 
-    def __post_init__(self) -> None:
-        if self.p not in SUPPORTED_PRIMES:
+    def __init__(self, residue: int, p: int) -> None:
+        if p not in SUPPORTED_PRIMES:
             raise UnsupportedFieldError(
-                f"prime field modulus must be one of {SUPPORTED_PRIMES}, got {self.p!r}"
+                f"prime field modulus must be one of {SUPPORTED_PRIMES}, got {p!r}"
             )
-        object.__setattr__(self, "residue", self.residue % self.p)
+        object.__setattr__(self, "residue", residue % p)
+        object.__setattr__(self, "p", p)
 
     def _check(self, other: "PrimeFieldElement") -> None:
         if not isinstance(other, PrimeFieldElement) or other.p != self.p:
@@ -150,20 +150,18 @@ class PrimeFieldElement:
         return f"{self.residue} (mod {self.p})"
 
 
-@dataclass(frozen=True)
-class EisensteinRational:
+class EisensteinRational(Value):
     """a + b*w with w a primitive cube root of unity, over the rationals.
 
     Multiplication reduces w^2 to -1 - w.  The norm a^2 - a*b + b^2 is a
     positive definite form over Q, so every nonzero element is invertible.
     """
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a: Fraction, b: Fraction) -> None:
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
 
     def _check(self, other: "EisensteinRational") -> None:
         if not isinstance(other, EisensteinRational):

@@ -19,12 +19,12 @@ coordinates and verified.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul, sub
 
+from ._value import Value
 from .exactnum import (
     EISENSTEIN,
     PRIME,
@@ -51,8 +51,7 @@ class CertificateError(ValueError):
     """Raised when a certificate fails to parse or verify."""
 
 
-@dataclass(frozen=True)
-class ProjTriple:
+class ProjTriple(Value):
     """Normalized homogeneous coordinates (a : b : c) over one field.
 
     Normal forms: over finite fields and Q(w) the first nonzero
@@ -60,8 +59,13 @@ class ProjTriple:
     positive leading entry.  Normalized equality is projective equality.
     """
 
-    field: FieldDescriptor
-    coords: tuple[ExactScalar, ExactScalar, ExactScalar]
+    __slots__ = ("field", "coords")
+
+    def __init__(
+        self, field: FieldDescriptor, coords: tuple[ExactScalar, ExactScalar, ExactScalar]
+    ) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def make(cls, field: FieldDescriptor, raw) -> "ProjTriple":
@@ -206,11 +210,15 @@ def _plane_incidence(p: int) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
-@dataclass(frozen=True)
-class RealizationOutcome:
-    configuration: LineConfiguration | None
-    exhausted: bool
-    nodes: int
+class RealizationOutcome(Value):
+    __slots__ = ("configuration", "exhausted", "nodes")
+
+    def __init__(
+        self, configuration: LineConfiguration | None, exhausted: bool, nodes: int
+    ) -> None:
+        object.__setattr__(self, "configuration", configuration)
+        object.__setattr__(self, "exhausted", exhausted)
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def found(self) -> bool:
@@ -293,18 +301,24 @@ def realize_over_prime_field(
     return RealizationOutcome(config, True, nodes)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """Serializable realization evidence: a field plus explicit line coordinates."""
 
-    label: str
-    field: FieldDescriptor
-    lines: tuple[tuple[ExactScalar, ExactScalar, ExactScalar], ...]
-    claimed_tvector: TVector | None = None
+    __slots__ = ("label", "field", "lines", "claimed_tvector")
 
-    def __post_init__(self) -> None:
-        coerced = tuple(tuple(as_scalar(v, self.field) for v in line) for line in self.lines)
-        object.__setattr__(self, "lines", coerced)
+    def __init__(
+        self,
+        label: str,
+        field: FieldDescriptor,
+        lines: tuple[tuple[ExactScalar, ExactScalar, ExactScalar], ...],
+        claimed_tvector: TVector | None = None,
+    ) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(
+            self, "lines", tuple(tuple(as_scalar(v, field) for v in line) for line in lines)
+        )
+        object.__setattr__(self, "claimed_tvector", claimed_tvector)
 
     @property
     def d(self) -> int:
@@ -355,12 +369,14 @@ def certificate_from_configuration(
     return Certificate(label, config.field, tuple(line.coords for line in config.lines), claimed)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    tvector: TVector
-    value: Fraction
-    d: int
-    s: int
+class VerificationReport(Value):
+    __slots__ = ("tvector", "value", "d", "s")
+
+    def __init__(self, tvector: TVector, value: Fraction, d: int, s: int) -> None:
+        object.__setattr__(self, "tvector", tvector)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "s", s)
 
 
 def configuration_from_certificate(cert: Certificate) -> LineConfiguration:

@@ -11,7 +11,21 @@ slot already containing its first line or seeds the first empty slot of
 some size (identical empty slots are interchangeable, which is the
 isomorph rejection).  The state is one int bitmask of lines per slot,
 the slots of each line in joining order, and each line's committed
-degree; a pair (i, j) is covered iff some slot of i has bit j.  Pruning:
+degree; a pair (i, j) is covered iff some slot of i has bit j.
+
+The star of line 0 is placed in canonical form: for the pair (0, j), j
+may only join line 0's latest slot while that slot is not full, and
+otherwise may only seed a slot no larger than it.  This is sound: the
+pairs (0, 1), ..., (0, d-1) come first, and until all of them are placed
+no line other than 0 has been touched, so lines 1..d-1 are still
+interchangeable.  Relabelling them maps any clique partition to one in
+which the cliques through line 0, ordered by their smallest other line,
+are consecutive blocks 1..k_1-1, k_1..k_1+k_2-2, ... of non-increasing
+size; that partition has the same T and its star is the canonical one,
+and the search still visits every partition with that star.  So a
+partition exists iff one with a canonical star of line 0 does
+(isomorph rejection as in McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26 (1998)).  Pruning:
 
 * per-line degree: a line in slots of sizes k_1, k_2, ... eventually has
   sum (k_i - 1) = d - 1, so the committed remainder must stay
@@ -26,9 +40,9 @@ running out of node budget raises instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
+from ._value import Value
 from .tspace import TVector, check_combinatorial_identity
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -42,16 +56,14 @@ class SearchBudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
-@dataclass(frozen=True)
-class CliquePartition:
+class CliquePartition(Value):
     """Cliques of line indices covering every pair exactly once."""
 
-    d: int
-    points: tuple[tuple[int, ...], ...]
+    __slots__ = ("d", "points")
 
-    def __post_init__(self) -> None:
-        canonical = tuple(sorted(tuple(sorted(set(p))) for p in self.points))
-        object.__setattr__(self, "points", canonical)
+    def __init__(self, d: int, points: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "points", tuple(sorted(tuple(sorted(set(p))) for p in points)))
 
     def to_json(self) -> dict:
         return {"d": self.d, "points": [list(p) for p in self.points]}
@@ -61,16 +73,18 @@ class CliquePartition:
         return cls(int(data["d"]), tuple(tuple(p) for p in data["points"]))
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    feasible: bool
-    witness: CliquePartition | None
-    nodes_explored: int
-    exhausted: bool
+class SearchOutcome(Value):
+    __slots__ = ("feasible", "witness", "nodes_explored", "exhausted")
 
-    def __post_init__(self) -> None:
-        if not self.feasible and not self.exhausted:
+    def __init__(
+        self, feasible: bool, witness: CliquePartition | None, nodes_explored: int, exhausted: bool
+    ) -> None:
+        if not feasible and not exhausted:
             raise ValueError("infeasibility claims require an exhausted search")
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "nodes_explored", nodes_explored)
+        object.__setattr__(self, "exhausted", exhausted)
 
 
 def validate_partition(partition: CliquePartition, tv: TVector) -> bool:
@@ -207,12 +221,18 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
         for slot in line_slots[i]:
             if slot_lines[slot].bit_count() < sizes[slot] and may_join(j, slot):
                 candidates.append(slot)
+        largest_seed = d
+        if i == 0 and line_slots[0]:
+            # canonical star of line 0: fill its latest slot, then seed one no larger
+            latest = line_slots[0][-1]
+            full = slot_lines[latest].bit_count() == sizes[latest]
+            largest_seed = sizes[latest] if full else 0
         seen_sizes: set[int] = set()
         for slot in range(n_slots):
             if slot_lines[slot]:
                 continue
             size = sizes[slot]
-            if size in seen_sizes:
+            if size in seen_sizes or size > largest_seed:
                 continue
             seen_sizes.add(size)
             if may_join(i, slot) and may_join(j, slot):

@@ -16,12 +16,12 @@ inconclusive; that integrity condition is checked and reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb
 
 from . import criteria
+from ._value import Value
 from .exactnum import EISENSTEIN, PRIME, RATIONAL, FieldDescriptor
 from .geometry import (
     Certificate,
@@ -49,14 +49,24 @@ class TableIntegrityError(RuntimeError):
     """No realizable candidate could be pinned down for some d."""
 
 
-@dataclass(frozen=True)
-class CandidateStatus:
-    tvector: TVector
-    q: Fraction
-    status: str
-    criterion: str | None = None
-    detail: str = ""
-    certificate: Certificate | None = None
+class CandidateStatus(Value):
+    __slots__ = ("tvector", "q", "status", "criterion", "detail", "certificate")
+
+    def __init__(
+        self,
+        tvector: TVector,
+        q: Fraction,
+        status: str,
+        criterion: str | None = None,
+        detail: str = "",
+        certificate: Certificate | None = None,
+    ) -> None:
+        object.__setattr__(self, "tvector", tvector)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "certificate", certificate)
 
     def to_json(self) -> dict:
         out = {
@@ -72,14 +82,24 @@ class CandidateStatus:
         return out
 
 
-@dataclass(frozen=True)
-class TableRow:
-    d: int
-    mode: str
-    value: Fraction
-    witness: str
-    audit: tuple[CandidateStatus, ...]
-    integrity_ok: bool
+class TableRow(Value):
+    __slots__ = ("d", "mode", "value", "witness", "audit", "integrity_ok")
+
+    def __init__(
+        self,
+        d: int,
+        mode: str,
+        value: Fraction,
+        witness: str,
+        audit: tuple[CandidateStatus, ...],
+        integrity_ok: bool,
+    ) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "audit", audit)
+        object.__setattr__(self, "integrity_ok", integrity_ok)
 
     def to_json(self, with_audit: bool = True) -> dict:
         out = {

@@ -17,17 +17,17 @@ actual arrangement.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+
+from ._value import Value
 
 
 class InvalidDegreeError(ValueError):
     """Raised for line counts below 2."""
 
 
-@dataclass(frozen=True)
-class TVector:
+class TVector(Value):
     """Counts (t_2, ..., t_d) of singular points by multiplicity.
 
     ``counts[i]`` holds t_{i+2}.  Construction only checks shape and
@@ -35,19 +35,18 @@ class TVector:
     question answered by :func:`check_combinatorial_identity`.
     """
 
-    d: int
-    counts: tuple[int, ...]
+    __slots__ = ("d", "counts")
 
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise InvalidDegreeError(f"need at least 2 lines, got d={self.d}")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if len(self.counts) != self.d - 1:
-            raise ValueError(
-                f"expected {self.d - 1} counts (t_2..t_{self.d}), got {len(self.counts)}"
-            )
-        if any(c < 0 for c in self.counts):
-            raise ValueError(f"negative multiplicity count in {self.counts}")
+    def __init__(self, d: int, counts: tuple[int, ...]) -> None:
+        if d < 2:
+            raise InvalidDegreeError(f"need at least 2 lines, got d={d}")
+        counts = tuple(int(c) for c in counts)
+        if len(counts) != d - 1:
+            raise ValueError(f"expected {d - 1} counts (t_2..t_{d}), got {len(counts)}")
+        if any(c < 0 for c in counts):
+            raise ValueError(f"negative multiplicity count in {counts}")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_mapping(cls, d: int, counts: dict[int, int]) -> "TVector":
@@ -90,13 +89,15 @@ class TVector:
         return f"d={self.d}:({self.encode()})"
 
 
-@dataclass(frozen=True)
-class QuotientValue:
+class QuotientValue(Value):
     """Exact quotient with its two deterministic renderings."""
 
-    value: Fraction
-    decimal: str
-    mixed: str
+    __slots__ = ("value", "decimal", "mixed")
+
+    def __init__(self, value: Fraction, decimal: str, mixed: str) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "decimal", decimal)
+        object.__setattr__(self, "mixed", mixed)
 
 
 def check_combinatorial_identity(tv: TVector) -> bool:

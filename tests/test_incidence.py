@@ -105,7 +105,7 @@ def test_d10_three_lines_of_three_fourfold_points_infeasible():
     # the point_pairs filter excludes this T; the exhaustive proof stays here
     out = feasible_arrangement(tv(10, {3: 7, 4: 4}))
     assert not out.feasible and out.exhausted
-    assert out.nodes_explored == 408_526
+    assert out.nodes_explored == 279
 
 
 def test_validate_fano_partition():
@@ -173,6 +173,38 @@ def test_feasibility_matches_brute_force(d):
     for vector in enumerate_tvectors(d):
         expected = vector.counts in achievable
         assert feasible_arrangement(vector).feasible is expected, vector
+
+
+# every combinatorially infeasible T-vector with d <= 8, by d; every other solution
+# is feasible.  Decided by the exhaustive search without the canonical star of line 0.
+INFEASIBLE_UP_TO_EIGHT_LINES = {
+    4: {"0,2,0"},
+    5: {"1,1,1,0", "1,3,0,0"},
+    6: {"0,1,2,0,0", "0,3,1,0,0", "0,5,0,0,0", "2,1,0,1,0", "3,0,2,0,0", "3,2,1,0,0"},
+    7: {
+        "0,0,1,0,1,0", "0,1,3,0,0,0", "0,2,0,0,1,0", "0,3,2,0,0,0", "0,5,1,0,0,0",
+        "1,0,0,2,0,0", "2,1,1,1,0,0", "2,3,0,1,0,0", "3,0,3,0,0,0", "3,1,0,0,1,0",
+        "3,2,2,0,0,0", "3,4,1,0,0,0", "5,0,1,1,0,0", "5,2,0,1,0,0", "6,1,2,0,0,0",
+    },
+    8: {
+        "0,0,3,1,0,0,0", "0,1,0,1,1,0,0", "0,2,2,1,0,0,0", "0,4,1,1,0,0,0", "0,6,0,1,0,0,0",
+        "1,0,1,0,0,1,0", "1,0,2,0,1,0,0", "1,1,4,0,0,0,0", "1,2,0,0,0,1,0", "1,2,1,0,1,0,0",
+        "1,3,3,0,0,0,0", "1,4,0,0,1,0,0", "1,5,2,0,0,0,0", "1,7,1,0,0,0,0", "1,9,0,0,0,0,0",
+        "10,0,3,0,0,0,0", "2,0,1,2,0,0,0", "2,2,0,2,0,0,0", "3,0,0,1,1,0,0", "3,1,2,1,0,0,0",
+        "3,3,1,1,0,0,0", "3,5,0,1,0,0,0", "4,0,4,0,0,0,0", "4,1,0,0,0,1,0", "4,1,1,0,1,0,0",
+        "4,2,3,0,0,0,0", "4,3,0,0,1,0,0", "4,4,2,0,0,0,0", "5,1,0,2,0,0,0", "6,0,2,1,0,0,0",
+        "6,2,1,1,0,0,0", "6,4,0,1,0,0,0", "7,0,1,0,1,0,0", "7,1,3,0,0,0,0", "7,2,0,0,1,0,0",
+        "8,0,0,2,0,0,0", "9,1,1,1,0,0,0",
+    },
+}
+
+
+def test_exhaustive_verdicts_up_to_eight_lines():
+    infeasible = {
+        d: {v.encode() for v in enumerate_tvectors(d) if not feasible_arrangement(v).feasible}
+        for d in range(2, 9)
+    }
+    assert {d: found for d, found in infeasible.items() if found} == INFEASIBLE_UP_TO_EIGHT_LINES
 
 
 def test_pair_conservation_in_witnesses():
