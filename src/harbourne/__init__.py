@@ -8,12 +8,7 @@ from .exactnum import (
 )
 from .geometry import (
     Certificate,
-    LineConfiguration,
-    ProjTriple,
-    harbourne_value,
-    plane_lines,
     realize_over_prime_field,
-    tvector_of_configuration,
     verify_certificate,
 )
 from .incidence import CliquePartition, SearchOutcome, feasible_arrangement, validate_partition
@@ -28,11 +23,9 @@ __all__ = [
     "EisensteinRational",
     "ExclusionVerdict",
     "FieldDescriptor",
-    "LineConfiguration",
     "MODE_ABSOLUTE",
     "MODE_COMPLEX",
     "PrimeFieldElement",
-    "ProjTriple",
     "SearchOutcome",
     "TVector",
     "apply_all",
@@ -43,10 +36,7 @@ __all__ = [
     "compute_table",
     "enumerate_tvectors",
     "feasible_arrangement",
-    "harbourne_value",
-    "plane_lines",
     "realize_over_prime_field",
-    "tvector_of_configuration",
     "validate_partition",
     "verify_certificate",
 ]

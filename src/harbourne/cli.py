@@ -15,12 +15,11 @@ import sys
 from fractions import Fraction
 
 from . import criteria, incidence, pipeline
-from .exactnum import SUPPORTED_PRIMES
+from .exactnum import SUPPORTED_PRIMES, FieldDescriptor
 from .geometry import (
     Certificate,
     CertificateError,
     UnsupportedFieldError,
-    certificate_from_configuration,
     realize_over_prime_field,
     verify_certificate,
 )
@@ -175,7 +174,7 @@ def cmd_realize(args) -> int:
             return EXIT_NEGATIVE
         print(f"inconclusive: node budget exceeded ({outcome.nodes} nodes)", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    cert = certificate_from_configuration(f"search-f{p}-d{tv.d}", outcome.configuration, tv)
+    cert = Certificate(f"search-f{p}-d{tv.d}", FieldDescriptor.prime(p), outcome.lines, tv)
     verify_certificate(cert)
     _emit_json(cert.to_json(), args.out)
     return EXIT_OK

@@ -7,8 +7,8 @@ Three scalar families cover everything the engine needs:
 * the Eisenstein rationals Q(w), written a + b*w with w^2 = -1 - w.
 
 Every scalar is immutable and hashable, so values can be shared freely
-(e.g. as dict keys when grouping intersection points).  All arithmetic
-is exact; there are no tolerances anywhere downstream.
+(a certificate's lines are tuples of them).  All arithmetic is exact;
+there are no tolerances anywhere downstream.
 
 Field membership is established once, at the boundary: ``as_scalar``
 coerces program data and ``scalar_from_json`` parses wire data into the

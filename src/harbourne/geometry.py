@@ -7,13 +7,11 @@ Certificates are verified by determinants over Z, Z[w] or Z/p: each
 line's denominators are cleared once, two lines are distinct iff their
 cross product is nonzero, and line k passes through the meet of lines i
 and j iff det(l_i, l_j, l_k) = 0, so the multiplicities need no normal
-forms.  ``LineConfiguration`` groups intersection points by normalized
-coordinates instead; it serves realization output and is an independent
-check of the determinant path.
+forms.
 
 The F_p realization search runs on the integer incidence table of
-PG(2, p); only the configuration it finds is built from exact
-coordinates and verified.
+PG(2, p) and returns the residue triples of the lines it chose; callers
+wrap them in a :class:`Certificate` and verify it.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul, sub
 
 from ._value import Value
@@ -34,8 +32,6 @@ from .exactnum import (
     FieldDescriptor,
     UnsupportedFieldError,
     as_scalar,
-    field_inverse,
-    is_zero,
     scalar_from_json,
     scalar_to_json,
 )
@@ -51,131 +47,6 @@ class CertificateError(ValueError):
     """Raised when a certificate fails to parse or verify."""
 
 
-class ProjTriple(Value):
-    """Normalized homogeneous coordinates (a : b : c) over one field.
-
-    Normal forms: over finite fields and Q(w) the first nonzero
-    coordinate is 1; over Q the coordinates are coprime integers with a
-    positive leading entry.  Normalized equality is projective equality.
-    """
-
-    __slots__ = ("field", "coords")
-
-    def __init__(
-        self, field: FieldDescriptor, coords: tuple[ExactScalar, ExactScalar, ExactScalar]
-    ) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", coords)
-
-    @classmethod
-    def make(cls, field: FieldDescriptor, raw) -> "ProjTriple":
-        if len(raw) != 3:
-            raise InvalidConfigurationError(f"expected 3 coordinates, got {len(raw)}")
-        coords = tuple(as_scalar(v, field) for v in raw)
-        if all(is_zero(c) for c in coords):
-            raise InvalidConfigurationError("all-zero coordinate triple")
-        return cls(field, _normalize(field, coords))
-
-    def to_json(self) -> list:
-        return [scalar_to_json(c) for c in self.coords]
-
-    def __str__(self) -> str:
-        return "(" + " : ".join(str(c) for c in self.coords) + ")"
-
-
-def _normalize(field: FieldDescriptor, coords) -> tuple:
-    if field.kind == RATIONAL:
-        denom_lcm = 1
-        for c in coords:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in coords]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-        return tuple(Fraction(v) for v in ints)
-    lead = next(c for c in coords if not is_zero(c))
-    inv = field_inverse(lead)
-    return tuple(c * inv for c in coords)
-
-
-def dot(u: ProjTriple, v: ProjTriple) -> ExactScalar:
-    (u1, u2, u3), (v1, v2, v3) = u.coords, v.coords
-    return u1 * v1 + u2 * v2 + u3 * v3
-
-
-def incident(line: ProjTriple, point: ProjTriple) -> bool:
-    return is_zero(dot(line, point))
-
-
-def cross_product(u: ProjTriple, v: ProjTriple) -> ProjTriple | None:
-    """Intersection point of two lines (dually: line through two points).
-
-    Returns None when the triples are proportional, i.e. the same
-    projective element.
-    """
-    (u1, u2, u3), (v1, v2, v3) = u.coords, v.coords
-    w = (u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
-    if all(is_zero(c) for c in w):
-        return None
-    return ProjTriple(u.field, _normalize(u.field, w))
-
-
-class LineConfiguration:
-    """A set of distinct projective lines with derived singular points."""
-
-    def __init__(self, field: FieldDescriptor, lines) -> None:
-        lines = tuple(lines)
-        if len(lines) < 2:
-            raise InvalidConfigurationError("a configuration needs at least 2 lines")
-        if any(l.field != field for l in lines):
-            raise InvalidConfigurationError("all lines must live over the configuration field")
-        if len(set(lines)) != len(lines):
-            raise InvalidConfigurationError("duplicate line in configuration")
-        self.field = field
-        self.lines = lines
-        self._points: dict[ProjTriple, int] | None = None
-
-    @property
-    def d(self) -> int:
-        return len(self.lines)
-
-    def singular_points(self) -> dict[ProjTriple, int]:
-        """Map intersection point -> multiplicity (number of lines through it)."""
-        if self._points is None:
-            incidences: dict[ProjTriple, set[int]] = {}
-            for i in range(self.d):
-                for j in range(i + 1, self.d):
-                    pt = cross_product(self.lines[i], self.lines[j])
-                    if pt is None:  # distinct normalized lines always meet
-                        raise InvalidConfigurationError("degenerate pair of lines")
-                    incidences.setdefault(pt, set()).update((i, j))
-            self._points = {pt: len(ls) for pt, ls in incidences.items()}
-        return self._points
-
-    @property
-    def s(self) -> int:
-        return len(self.singular_points())
-
-
-def tvector_of_configuration(config: LineConfiguration) -> TVector:
-    """Multiplicity histogram of the configuration as a T-vector."""
-    counts: dict[int, int] = {}
-    for mult in config.singular_points().values():
-        counts[mult] = counts.get(mult, 0) + 1
-    return TVector.from_mapping(config.d, counts)
-
-
-def harbourne_value(config: LineConfiguration) -> Fraction:
-    """(d^2 - sum of squared multiplicities) / number of singular points."""
-    points = config.singular_points()
-    total = sum(m * m for m in points.values())
-    return Fraction(config.d * config.d - total, len(points))
-
-
 @lru_cache(maxsize=None)
 def _plane_residues(p: int) -> tuple[tuple[int, int, int], ...]:
     """Residues of the normalized lines of PG(2, p), lexicographically ordered."""
@@ -185,20 +56,10 @@ def _plane_residues(p: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def plane_lines(p: int) -> tuple[ProjTriple, ...]:
-    """All p^2 + p + 1 normalized lines of PG(2, p), lexicographically ordered."""
-    residues = _plane_residues(p)
-    field = FieldDescriptor.prime(p)
-    triples = tuple(ProjTriple.make(field, r) for r in residues)
-    assert len(set(triples)) == p * p + p + 1
-    return triples
-
-
-@lru_cache(maxsize=None)
 def _plane_incidence(p: int) -> tuple[tuple[int, ...], ...]:
-    """Row i: indices of the p + 1 points on ``plane_lines(p)[i]``.
+    """Row i: indices of the p + 1 points on line ``_plane_residues(p)[i]``.
 
-    Points and lines share normal forms, so point j is ``plane_lines(p)[j]``;
+    Points and lines share normal forms, so point j is ``_plane_residues(p)[j]``;
     the dot product is symmetric, so each point also lies on p + 1 lines.
     """
     residues = _plane_residues(p)
@@ -211,18 +72,20 @@ def _plane_incidence(p: int) -> tuple[tuple[int, ...], ...]:
 
 
 class RealizationOutcome(Value):
-    __slots__ = ("configuration", "exhausted", "nodes")
+    """``lines``: the residue triples of the lines found, or None."""
+
+    __slots__ = ("lines", "exhausted", "nodes")
 
     def __init__(
-        self, configuration: LineConfiguration | None, exhausted: bool, nodes: int
+        self, lines: tuple[tuple[int, int, int], ...] | None, exhausted: bool, nodes: int
     ) -> None:
-        object.__setattr__(self, "configuration", configuration)
+        object.__setattr__(self, "lines", lines)
         object.__setattr__(self, "exhausted", exhausted)
         object.__setattr__(self, "nodes", nodes)
 
     @property
     def found(self) -> bool:
-        return self.configuration is not None
+        return self.lines is not None
 
 
 def realize_over_prime_field(
@@ -232,15 +95,16 @@ def realize_over_prime_field(
 
     Candidate subsets are explored in lexicographic order of line indices
     with pruning whenever the partial multiplicity histogram exceeds T.
-    It runs on the integer incidence table of PG(2, p); only a found
-    configuration is built from exact coordinates (callers verify it).
+    It runs on the integer incidence table of PG(2, p), and a hit is
+    returned as the chosen triples of :func:`_plane_residues` in index
+    order; callers build a :class:`Certificate` from them and verify it.
     As in :class:`~harbourne.incidence.SearchOutcome`, ``exhausted=True``
     means the search finished, with a configuration or after the whole
     tree; ``exhausted=False`` means the node budget ran out and the search
     proves nothing.
     """
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    lines = plane_lines(p)
+    lines = _plane_residues(p)
     d = tv.d
     if d > len(lines):
         raise ValueError(f"cannot pick {d} distinct lines in PG(2,{p}) ({len(lines)} lines)")
@@ -265,11 +129,11 @@ def realize_over_prime_field(
                 return False
         return True
 
-    def search(start: int) -> LineConfiguration | None:
+    def search(start: int) -> tuple[tuple[int, int, int], ...] | None:
         nonlocal nodes
         if len(chosen) == d:
             if tuple(hist[2 : d + 1]) == target:
-                return LineConfiguration(FieldDescriptor.prime(p), [lines[i] for i in chosen])
+                return tuple(lines[i] for i in chosen)
             return None
         for idx in range(start, len(lines) - (d - len(chosen)) + 1):
             nodes += 1
@@ -293,12 +157,12 @@ def realize_over_prime_field(
         return None
 
     try:
-        config = search(0)
+        found = search(0)
     except SearchBudgetExceeded:
         return RealizationOutcome(None, False, nodes)
     finally:
         del search  # it refers to itself, so only the cyclic GC would free it and its state
-    return RealizationOutcome(config, True, nodes)
+    return RealizationOutcome(found, True, nodes)
 
 
 class Certificate(Value):
@@ -362,13 +226,6 @@ class Certificate(Value):
         return cls(label, field, tuple(lines), claimed)
 
 
-def certificate_from_configuration(
-    label: str, config: LineConfiguration, claimed: TVector
-) -> Certificate:
-    """Certificate for ``config`` claiming ``claimed``; ``verify_certificate`` checks the claim."""
-    return Certificate(label, config.field, tuple(line.coords for line in config.lines), claimed)
-
-
 class VerificationReport(Value):
     __slots__ = ("tvector", "value", "d", "s")
 
@@ -377,14 +234,6 @@ class VerificationReport(Value):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "s", s)
-
-
-def configuration_from_certificate(cert: Certificate) -> LineConfiguration:
-    try:
-        lines = [ProjTriple.make(cert.field, raw) for raw in cert.lines]
-        return LineConfiguration(cert.field, lines)
-    except InvalidConfigurationError as exc:
-        raise CertificateError(f"certificate {cert.label!r}: {exc}") from None
 
 
 def _eisenstein_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:

@@ -27,7 +27,6 @@ from .geometry import (
     Certificate,
     VerificationReport,
     _plane_residues,
-    certificate_from_configuration,
     realize_over_prime_field,
     verify_certificate,
 )
@@ -276,8 +275,8 @@ def classify_candidate(
                 continue
             result = realize_over_prime_field(tv, p, node_budget)
             if result.found:
-                found = certificate_from_configuration(
-                    f"search-f{p}-d{tv.d}", result.configuration, tv
+                found = Certificate(
+                    f"search-f{p}-d{tv.d}", FieldDescriptor.prime(p), result.lines, tv
                 )
                 verify_certificate(found)
                 return CandidateStatus(

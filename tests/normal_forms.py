@@ -1,0 +1,180 @@
+"""Normal-form projective geometry: the tests' independent multiplicity oracle.
+
+``harbourne.geometry.verify_certificate`` reads a configuration's
+T-vector off exact determinants.  This module computes the same numbers
+by a second algorithm: every line is put in a normal form, the pairwise
+intersection points are normalized too, and points are grouped in a
+dict keyed by their coordinates.  The two share nothing beyond the
+scalar types of ``harbourne.exactnum``, so agreement between them is
+evidence for both.  Nothing in ``harbourne`` imports this module.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd
+
+from harbourne._value import Value
+from harbourne.exactnum import (
+    RATIONAL,
+    ExactScalar,
+    FieldDescriptor,
+    as_scalar,
+    field_inverse,
+    is_zero,
+    scalar_to_json,
+)
+from harbourne.geometry import (
+    Certificate,
+    CertificateError,
+    InvalidConfigurationError,
+    _plane_residues,
+)
+from harbourne.tspace import TVector
+
+
+class ProjTriple(Value):
+    """Normalized homogeneous coordinates (a : b : c) over one field.
+
+    Normal forms: over finite fields and Q(w) the first nonzero
+    coordinate is 1; over Q the coordinates are coprime integers with a
+    positive leading entry.  Normalized equality is projective equality.
+    """
+
+    __slots__ = ("field", "coords")
+
+    def __init__(
+        self, field: FieldDescriptor, coords: tuple[ExactScalar, ExactScalar, ExactScalar]
+    ) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coords", coords)
+
+    @classmethod
+    def make(cls, field: FieldDescriptor, raw) -> "ProjTriple":
+        if len(raw) != 3:
+            raise InvalidConfigurationError(f"expected 3 coordinates, got {len(raw)}")
+        coords = tuple(as_scalar(v, field) for v in raw)
+        if all(is_zero(c) for c in coords):
+            raise InvalidConfigurationError("all-zero coordinate triple")
+        return cls(field, _normalize(field, coords))
+
+    def to_json(self) -> list:
+        return [scalar_to_json(c) for c in self.coords]
+
+
+def _normalize(field: FieldDescriptor, coords) -> tuple:
+    if field.kind == RATIONAL:
+        denom_lcm = 1
+        for c in coords:
+            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+        ints = [int(c * denom_lcm) for c in coords]
+        g = 0
+        for v in ints:
+            g = gcd(g, abs(v))
+        ints = [v // g for v in ints]
+        lead = next(v for v in ints if v != 0)
+        if lead < 0:
+            ints = [-v for v in ints]
+        return tuple(Fraction(v) for v in ints)
+    lead = next(c for c in coords if not is_zero(c))
+    inv = field_inverse(lead)
+    return tuple(c * inv for c in coords)
+
+
+def dot(u: ProjTriple, v: ProjTriple) -> ExactScalar:
+    (u1, u2, u3), (v1, v2, v3) = u.coords, v.coords
+    return u1 * v1 + u2 * v2 + u3 * v3
+
+
+def incident(line: ProjTriple, point: ProjTriple) -> bool:
+    return is_zero(dot(line, point))
+
+
+def cross_product(u: ProjTriple, v: ProjTriple) -> ProjTriple | None:
+    """Intersection point of two lines (dually: line through two points).
+
+    Returns None when the triples are proportional, i.e. the same
+    projective element.
+    """
+    (u1, u2, u3), (v1, v2, v3) = u.coords, v.coords
+    w = (u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
+    if all(is_zero(c) for c in w):
+        return None
+    return ProjTriple(u.field, _normalize(u.field, w))
+
+
+class LineConfiguration:
+    """A set of distinct projective lines with derived singular points."""
+
+    def __init__(self, field: FieldDescriptor, lines) -> None:
+        lines = tuple(lines)
+        if len(lines) < 2:
+            raise InvalidConfigurationError("a configuration needs at least 2 lines")
+        if any(l.field != field for l in lines):
+            raise InvalidConfigurationError("all lines must live over the configuration field")
+        if len(set(lines)) != len(lines):
+            raise InvalidConfigurationError("duplicate line in configuration")
+        self.field = field
+        self.lines = lines
+        self._points: dict[ProjTriple, int] | None = None
+
+    @property
+    def d(self) -> int:
+        return len(self.lines)
+
+    def singular_points(self) -> dict[ProjTriple, int]:
+        """Map intersection point -> multiplicity (number of lines through it)."""
+        if self._points is None:
+            incidences: dict[ProjTriple, set[int]] = {}
+            for i in range(self.d):
+                for j in range(i + 1, self.d):
+                    pt = cross_product(self.lines[i], self.lines[j])
+                    if pt is None:  # distinct normalized lines always meet
+                        raise InvalidConfigurationError("degenerate pair of lines")
+                    incidences.setdefault(pt, set()).update((i, j))
+            self._points = {pt: len(ls) for pt, ls in incidences.items()}
+        return self._points
+
+    @property
+    def s(self) -> int:
+        return len(self.singular_points())
+
+
+def tvector_of_configuration(config: LineConfiguration) -> TVector:
+    """Multiplicity histogram of the configuration as a T-vector."""
+    counts: dict[int, int] = {}
+    for mult in config.singular_points().values():
+        counts[mult] = counts.get(mult, 0) + 1
+    return TVector.from_mapping(config.d, counts)
+
+
+def harbourne_value(config: LineConfiguration) -> Fraction:
+    """(d^2 - sum of squared multiplicities) / number of singular points."""
+    points = config.singular_points()
+    total = sum(m * m for m in points.values())
+    return Fraction(config.d * config.d - total, len(points))
+
+
+@lru_cache(maxsize=None)
+def plane_lines(p: int) -> tuple[ProjTriple, ...]:
+    """All p^2 + p + 1 normalized lines of PG(2, p), lexicographically ordered."""
+    field = FieldDescriptor.prime(p)
+    triples = tuple(ProjTriple.make(field, r) for r in _plane_residues(p))
+    assert len(set(triples)) == p * p + p + 1
+    return triples
+
+
+def certificate_from_configuration(
+    label: str, config: LineConfiguration, claimed: TVector
+) -> Certificate:
+    """Certificate for ``config`` claiming ``claimed``; ``verify_certificate`` checks the claim."""
+    return Certificate(label, config.field, tuple(line.coords for line in config.lines), claimed)
+
+
+def configuration_from_certificate(cert: Certificate) -> LineConfiguration:
+    try:
+        lines = [ProjTriple.make(cert.field, raw) for raw in cert.lines]
+        return LineConfiguration(cert.field, lines)
+    except InvalidConfigurationError as exc:
+        raise CertificateError(f"certificate {cert.label!r}: {exc}") from None

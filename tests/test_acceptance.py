@@ -23,15 +23,9 @@ from harbourne.criteria import (
     two_pencils_filter,
 )
 from harbourne.geometry import (
+    Certificate,
     FieldDescriptor,
-    LineConfiguration,
-    ProjTriple,
-    certificate_from_configuration,
-    configuration_from_certificate,
-    harbourne_value,
-    incident,
     realize_over_prime_field,
-    tvector_of_configuration,
     verify_certificate,
 )
 from harbourne.incidence import feasible_arrangement
@@ -45,6 +39,7 @@ from harbourne.pipeline import (
     compute_table,
 )
 from harbourne.tspace import TVector, enumerate_tvectors, quotient_fraction
+from normal_forms import configuration_from_certificate, incident, tvector_of_configuration
 
 DB = builtin_certificates()
 
@@ -204,7 +199,7 @@ def test_criterion_6_property_suites():
     ]:
         requested = TVector.from_mapping(d, counts)
         outcome = realize_over_prime_field(requested, p)
-        cert = certificate_from_configuration("roundtrip", outcome.configuration, requested)
+        cert = Certificate("roundtrip", FieldDescriptor.prime(p), outcome.lines, requested)
         assert verify_certificate(cert).tvector == requested
     print(f"PASS criterion 6: invariants hold on {len(configs)} verified configurations")
 

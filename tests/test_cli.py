@@ -115,9 +115,20 @@ class TestRealize:
         assert "exhausted" in err
 
     def test_d9_over_f3(self, capsys):
+        """The whole certificate, key order and layout included: the first 9 lines found in PG(2,3)."""
         code, out, _ = run(capsys, "realize", "-d", "9", "-t", "0,12,0,0,0,0,0,0", "--field", "f3")
         assert code == 0
-        assert json.loads(out)["claimed_tvector"] == "0,12,0,0,0,0,0,0"
+        expected = {
+            "schema_version": 1,
+            "label": "search-f3-d9",
+            "field": {"kind": "prime", "p": 3},
+            "lines": [
+                [0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 0, 1],
+                [1, 1, 0], [1, 1, 2], [1, 2, 1], [1, 2, 2],
+            ],
+            "claimed_tvector": "0,12,0,0,0,0,0,0",
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
 
     def test_too_many_lines_usage_error(self, capsys):
         code, _, _ = run(capsys, "realize", "-d", "8", "-t", "4,8,0,0,0,0,0", "--field", "f2")

@@ -1,14 +1,19 @@
+import importlib
 import json
+import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harbourne import geometry
+import harbourne
 from harbourne.exactnum import (
     SUPPORTED_PRIMES,
     EisensteinRational,
@@ -21,24 +26,42 @@ from harbourne.geometry import (
     Certificate,
     CertificateError,
     InvalidConfigurationError,
+    _plane_incidence,
+    _plane_residues,
+    realize_over_prime_field,
+    verify_certificate,
+)
+from harbourne.tspace import TVector
+import normal_forms
+from normal_forms import (
     LineConfiguration,
     ProjTriple,
     certificate_from_configuration,
     configuration_from_certificate,
-    _plane_incidence,
-    _plane_residues,
     cross_product,
     harbourne_value,
     incident,
     plane_lines,
-    realize_over_prime_field,
     tvector_of_configuration,
-    verify_certificate,
 )
-from harbourne.tspace import TVector
 
 RAT = FieldDescriptor.rational()
 EIS = FieldDescriptor.eisenstein()
+
+# the normal-form oracle's names, none of which the product may define or import
+NORMAL_FORM_NAMES = (
+    "ProjTriple",
+    "_normalize",
+    "dot",
+    "incident",
+    "cross_product",
+    "LineConfiguration",
+    "tvector_of_configuration",
+    "harbourne_value",
+    "plane_lines",
+    "certificate_from_configuration",
+    "configuration_from_certificate",
+)
 
 
 def rational_config(raw_lines):
@@ -190,8 +213,18 @@ class TestRealization:
         assert out.found
         assert out.exhausted
         assert out.nodes == 7
-        assert out.configuration.d == 7
-        assert tvector_of_configuration(out.configuration) == TVector.from_mapping(7, {3: 7})
+        assert len(out.lines) == 7
+        assert set(out.lines) <= set(_plane_residues(2))
+        config = configuration_from_certificate(
+            Certificate("fano", FieldDescriptor.prime(2), out.lines)
+        )
+        assert tvector_of_configuration(config) == TVector.from_mapping(7, {3: 7})
+
+    def test_identical_searches_give_equal_outcomes(self):
+        fano = TVector.from_mapping(7, {3: 7})
+        first, second = realize_over_prime_field(fano, 2), realize_over_prime_field(fano, 2)
+        assert first == second
+        assert hash(first) == hash(second)
 
     def test_fano_absent_from_f3(self):
         out = realize_over_prime_field(TVector.from_mapping(7, {3: 7}), 3)
@@ -220,7 +253,7 @@ class TestRealization:
     def test_roundtrip_through_certificate(self):
         vector = TVector.from_mapping(10, {3: 9, 4: 3})
         out = realize_over_prime_field(vector, 3)
-        cert = certificate_from_configuration("roundtrip", out.configuration, vector)
+        cert = Certificate("roundtrip", FieldDescriptor.prime(3), out.lines, vector)
         assert verify_certificate(cert).tvector == vector
 
 
@@ -351,16 +384,34 @@ class TestDeterminantVerifier:
         assert determinant_outcome(cert) == normal_form_outcome(cert)
         assert determinant_outcome(cert).endswith("duplicate line in configuration")
 
-    def test_uses_no_normal_forms(self, monkeypatch):
+    def test_uses_no_normal_forms(self):
         from harbourne.pipeline import builtin_certificates
 
+        assert all(hasattr(normal_forms, name) for name in NORMAL_FORM_NAMES)
+        package = Path(harbourne.__file__).parent
+        for info in pkgutil.iter_modules([str(package)]):
+            module = importlib.import_module(f"harbourne.{info.name}")
+            assert not [name for name in NORMAL_FORM_NAMES if hasattr(module, name)], info.name
+            assert "normal_forms" not in (package / f"{info.name}.py").read_text(encoding="utf-8")
+
+        # the oracle is importable in the child, so a stray import would show in sys.modules
+        child = (
+            "import sys\n"
+            "sys.path[:0] = sys.argv[1:]\n"
+            "import harbourne, harbourne.cli\n"
+            "harbourne.builtin_certificates()\n"
+            "print('normal_forms' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", child, str(package.parent), str(Path(__file__).parent)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout.strip() == "False"
+
         db = builtin_certificates()
-
-        def forbidden(*args):
-            raise AssertionError("normal-form path used")
-
-        monkeypatch.setattr(geometry, "cross_product", forbidden)
-        monkeypatch.setattr(ProjTriple, "make", forbidden)
         for label in db.labels():
             assert verify_certificate(db.get(label)).tvector == db.reports[label].tvector
 

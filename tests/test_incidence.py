@@ -216,11 +216,14 @@ def test_pair_conservation_in_witnesses():
 
 def test_agreement_with_geometric_realizations():
     """The clique partition induced by a found configuration validates against its T."""
-    from harbourne.geometry import incident, realize_over_prime_field, tvector_of_configuration
+    from harbourne.geometry import Certificate, FieldDescriptor, realize_over_prime_field
+    from normal_forms import configuration_from_certificate, incident, tvector_of_configuration
 
     for d, counts, p in [(7, {3: 7}, 2), (9, {3: 12}, 3), (10, {3: 9, 4: 3}, 3)]:
         outcome = realize_over_prime_field(tv(d, counts), p)
-        config = outcome.configuration
+        config = configuration_from_certificate(
+            Certificate("found", FieldDescriptor.prime(p), outcome.lines)
+        )
         induced = CliquePartition(
             d,
             tuple(

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given
@@ -20,10 +21,12 @@ from harbourne.tspace import (
 
 def brute_force_count(d):
     """Naive nested-loop solution count: independent of the recursive enumerator."""
-    ranges = [range(comb(d, 2) // comb(k, 2) + 1) for k in range(2, d + 1)]
+    pairs = comb(d, 2)
+    weights = [comb(k, 2) for k in range(2, d + 1)]
+    ranges = [range(pairs // w + 1) for w in weights]
     count = 0
     for combo in itertools.product(*ranges):
-        if sum(t * comb(k, 2) for k, t in zip(range(2, d + 1), combo)) == comb(d, 2):
+        if sum(map(mul, weights, combo)) == pairs:
             count += 1
     return count
 

@@ -13,7 +13,6 @@ from harbourne.criteria import ExclusionVerdict
 from harbourne.exactnum import EisensteinRational, FieldDescriptor, PrimeFieldElement
 from harbourne.geometry import (
     Certificate,
-    ProjTriple,
     RealizationOutcome,
     VerificationReport,
     verify_certificate,
@@ -21,6 +20,7 @@ from harbourne.geometry import (
 from harbourne.incidence import CliquePartition, SearchOutcome
 from harbourne.pipeline import CandidateStatus, TableRow
 from harbourne.tspace import QuotientValue, TVector, combinatorial_quotient
+from normal_forms import ProjTriple
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -55,6 +55,7 @@ SAMPLES = {
         lambda: SearchOutcome(False, None, 7, True),
         "SearchOutcome(feasible=False, witness=None, nodes_explored=7, exhausted=True)",
     ),
+    # the normal-form oracle's point type, kept to the same contract: it keys the oracle's dicts
     ProjTriple: (
         lambda: ProjTriple.make(FieldDescriptor.prime(2), (1, 1, 0)),
         "ProjTriple(field=FieldDescriptor(kind='prime', p=2), "
@@ -62,8 +63,8 @@ SAMPLES = {
         "PrimeFieldElement(residue=0, p=2)))",
     ),
     RealizationOutcome: (
-        lambda: RealizationOutcome(None, False, 11),
-        "RealizationOutcome(configuration=None, exhausted=False, nodes=11)",
+        lambda: RealizationOutcome(((0, 0, 1), (0, 1, 0), (0, 1, 1)), True, 3),
+        "RealizationOutcome(lines=((0, 0, 1), (0, 1, 0), (0, 1, 1)), exhausted=True, nodes=3)",
     ),
     Certificate: (
         _pencil,
@@ -99,7 +100,7 @@ FIELDS = {
     CliquePartition: ("d", "points"),
     SearchOutcome: ("feasible", "witness", "nodes_explored", "exhausted"),
     ProjTriple: ("field", "coords"),
-    RealizationOutcome: ("configuration", "exhausted", "nodes"),
+    RealizationOutcome: ("lines", "exhausted", "nodes"),
     Certificate: ("label", "field", "lines", "claimed_tvector"),
     VerificationReport: ("tvector", "value", "d", "s"),
     CandidateStatus: ("tvector", "q", "status", "criterion", "detail", "certificate"),
