@@ -47,14 +47,25 @@ def _usage(message: str) -> int:
 
 
 def _node_budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
+    """``--budget``, else HARB_NODE_BUDGET, else None (the search's default).
+
+    A negative ``--budget`` raises ValueError, which the commands report as
+    a usage error; a negative or malformed HARB_NODE_BUDGET is ignored with
+    a warning.
+    """
+    if args.budget is not None:
+        if args.budget < 0:
+            raise ValueError(f"--budget must be non-negative, got {args.budget}")
         return args.budget
     env = os.environ.get("HARB_NODE_BUDGET")
     if env:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
-            print(f"warning: ignoring malformed HARB_NODE_BUDGET={env!r}", file=sys.stderr)
+            budget = -1  # warned about below, as a negative value is
+        if budget >= 0:
+            return budget
+        print(f"warning: ignoring malformed or negative HARB_NODE_BUDGET={env!r}", file=sys.stderr)
     return None
 
 
@@ -129,7 +140,11 @@ def cmd_feasible(args) -> int:
     if tv is None:
         return EXIT_USAGE
     try:
-        outcome = incidence.feasible_arrangement(tv, _node_budget(args))
+        budget = _node_budget(args)
+    except ValueError as exc:
+        return _usage(str(exc))
+    try:
+        outcome = incidence.feasible_arrangement(tv, budget)
     except incidence.SearchBudgetExceeded as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
@@ -160,7 +175,11 @@ def cmd_realize(args) -> int:
     if p is None:
         return _usage(f"malformed field {args.field!r}; expected e.g. f2, f3")
     try:
-        outcome = realize_over_prime_field(tv, p, _node_budget(args))
+        budget = _node_budget(args)
+    except ValueError as exc:
+        return _usage(str(exc))
+    try:
+        outcome = realize_over_prime_field(tv, p, budget)
     except UnsupportedFieldError as exc:
         return _usage(str(exc))
     except ValueError as exc:
@@ -233,7 +252,11 @@ def cmd_table(args) -> int:
     if unsupported:
         return _usage(f"unsupported field(s) {unsupported}; choose from {SUPPORTED_PRIMES}")
     try:
-        rows = pipeline.compute_table(args.max_d, args.mode, fields, node_budget=_node_budget(args))
+        budget = _node_budget(args)
+    except ValueError as exc:
+        return _usage(str(exc))
+    try:
+        rows = pipeline.compute_table(args.max_d, args.mode, fields, node_budget=budget)
     except pipeline.TableIntegrityError as exc:
         print(f"table integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY

@@ -138,14 +138,6 @@ class PrimeFieldElement(Value):
     def __neg__(self) -> "PrimeFieldElement":
         return PrimeFieldElement(-self.residue, self.p)
 
-    def inverse(self) -> "PrimeFieldElement":
-        if self.residue == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
-        return PrimeFieldElement(pow(self.residue, self.p - 2, self.p), self.p)
-
-    def is_zero(self) -> bool:
-        return self.residue == 0
-
     def __str__(self) -> str:
         return f"{self.residue} (mod {self.p})"
 
@@ -153,8 +145,7 @@ class PrimeFieldElement(Value):
 class EisensteinRational(Value):
     """a + b*w with w a primitive cube root of unity, over the rationals.
 
-    Multiplication reduces w^2 to -1 - w.  The norm a^2 - a*b + b^2 is a
-    positive definite form over Q, so every nonzero element is invertible.
+    Multiplication reduces w^2 to -1 - w.
     """
 
     __slots__ = ("a", "b")
@@ -197,38 +188,11 @@ class EisensteinRational(Value):
     def __neg__(self) -> "EisensteinRational":
         return EisensteinRational(-self.a, -self.b)
 
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def inverse(self) -> "EisensteinRational":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("0 has no inverse in Q(w)")
-        # conjugate of a + b w is (a - b) - b w, and x * conj(x) = norm(x)
-        return EisensteinRational((self.a - self.b) / n, -self.b / n)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def __str__(self) -> str:
         return f"{self.a} + {self.b}w"
 
 
 ExactScalar = Fraction | PrimeFieldElement | EisensteinRational
-
-
-def field_inverse(x: ExactScalar) -> ExactScalar:
-    if isinstance(x, Fraction):
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse in Q")
-        return 1 / x
-    return x.inverse()
-
-
-def is_zero(x: ExactScalar) -> bool:
-    if isinstance(x, Fraction):
-        return x == 0
-    return x.is_zero()
 
 
 def as_scalar(value, field: FieldDescriptor) -> ExactScalar:

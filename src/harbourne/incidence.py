@@ -8,24 +8,44 @@ multiset is exactly the one T prescribes (t_k cliques of size k).
 The search pre-allocates one fixed-size slot per point and assigns line
 pairs to slots in lexicographic order.  An uncovered pair either joins a
 slot already containing its first line or seeds the first empty slot of
-some size (identical empty slots are interchangeable, which is the
-isomorph rejection).  The state is one int bitmask of lines per slot,
-the slots of each line in joining order, and each line's committed
-degree; a pair (i, j) is covered iff some slot of i has bit j.
+some size (identical empty slots are interchangeable).  The state is
+one int bitmask of lines per slot, the slots of each line in joining
+order, and each line's committed degree; a pair (i, j) is covered iff
+some slot of i has bit j.
 
-The star of line 0 is placed in canonical form: for the pair (0, j), j
-may only join line 0's latest slot while that slot is not full, and
-otherwise may only seed a slot no larger than it.  This is sound: the
-pairs (0, 1), ..., (0, d-1) come first, and until all of them are placed
-no line other than 0 has been touched, so lines 1..d-1 are still
-interchangeable.  Relabelling them maps any clique partition to one in
-which the cliques through line 0, ordered by their smallest other line,
-are consecutive blocks 1..k_1-1, k_1..k_1+k_2-2, ... of non-increasing
-size; that partition has the same T and its star is the canonical one,
-and the search still visits every partition with that star.  So a
-partition exists iff one with a canonical star of line 0 does
-(isomorph rejection as in McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 26 (1998)).  Pruning:
+Isomorph rejection (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26 (1998)) works stage by stage, where stage i is the pairs
+(i, .).  Every member of a clique joins its slot during the stage of the
+clique's smallest line, so the state at the start of stage i is exactly
+the set of cliques whose smallest line is below i.  Lines j-1 and j, both
+greater than i, are *twins* at stage i when swapping them maps that set
+onto itself.  Rule: for a twin j, the pair (i, j) may only join a slot of
+i that comes no earlier in ``line_slots[i]`` than the slot holding j-1;
+seeding a new slot is always allowed.  At stage 0 every j >= 2 is a twin.
+j stays a twin at stage s iff it was one at stage s-1 and, for line s-1,
+either j-1 and j share a slot or they sit in two slots holding exactly
+{s-1, j-1} and {s-1, j}, of equal size; so twins are updated once per
+stage entry with a few bit operations per slot of line s-1.
+
+Soundness: take any partition P that obeys the rule before stage i.  Each
+run of consecutive twins R = {a, ..., b} at stage i generates the
+symmetric group on R, and every permutation of R fixes the state at the
+start of stage i, so a relabelled P takes the same path up to that stage.
+The slots of i are ordered by the smallest line they hold besides i, and
+a slot that existed before stage i holds all of R or none of it (an
+automorphism fixing i fixes each such slot).  Relabel R so that its lines
+in slots of i that already exist when (i, a) is reached come first,
+sorted by slot position, followed by its lines in new slots, slot by slot
+in seeding order.  Then along R no line's slot precedes its twin's.  Do
+this run by run from the left (a later run moves no slot key of an
+earlier one) and stage by stage: the result is a partition with the same
+T that the pruned tree visits.  So a partition exists iff the pruned tree
+finds one.
+
+Line 0's rule is the stage-0 case plus non-increasing sizes: its slots
+are consecutive blocks, and a new one is seeded, no larger than the
+latest, only once the latest is full; relabelling lines 1..d-1 sorts any
+partition's star of line 0 that way.  Pruning:
 
 * per-line degree: a line in slots of sizes k_1, k_2, ... eventually has
   sum (k_i - 1) = d - 1, so the committed remainder must stay
@@ -161,6 +181,9 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
 
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     nodes = 0
+    # twins[i]: bit j set iff lines j-1 and j are twins at stage i (see the module docstring)
+    twins = [0] * d
+    twins[0] = (1 << d) - 4
 
     def may_join(line: int, slot: int) -> bool:
         size = sizes[slot]
@@ -203,7 +226,20 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
                 return False
         return True
 
-    def search(ptr: int) -> CliquePartition | None:
+    def split_twins(line: int) -> None:
+        # stage line+1 keeps the twins of stage `line` that line's slots do not tell apart
+        shared = pairs_of_two = 0
+        for slot in line_slots[line]:
+            mask = slot_lines[slot]
+            shared |= mask & mask >> 1  # bit x: x and x+1 share this slot
+            if sizes[slot] == 2:
+                pairs_of_two |= mask
+        pairs_of_two &= ~(1 << line)  # the partners of line in its slots {line, x}
+        kept = (shared | pairs_of_two & pairs_of_two >> 1) << 1
+        twins[line + 1] = twins[line] & kept & ~(1 << (line + 2))
+
+    def search(ptr: int, stage: int) -> CliquePartition | None:
+        # twins[stage] is current: stage is that of pairs[ptr], the last pair placed (or 0)
         nonlocal nodes
         while ptr < len(pairs):
             i, j = pairs[ptr]
@@ -216,14 +252,25 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
         if ptr == len(pairs):
             points = (tuple(line for line in range(d) if mask >> line & 1) for mask in slot_lines)
             return CliquePartition(d, tuple(points))
+        while stage < i:
+            split_twins(stage)
+            stage += 1
 
+        slots_of_i = line_slots[i]
+        if twins[i] >> j & 1:
+            # j joins no slot of i earlier than the one holding its twin j-1
+            twin_bit = 1 << (j - 1)
+            first = 0
+            while not slot_lines[slots_of_i[first]] & twin_bit:
+                first += 1
+            slots_of_i = slots_of_i[first:]
         candidates: list[int] = []
-        for slot in line_slots[i]:
+        for slot in slots_of_i:
             if slot_lines[slot].bit_count() < sizes[slot] and may_join(j, slot):
                 candidates.append(slot)
         largest_seed = d
         if i == 0 and line_slots[0]:
-            # canonical star of line 0: fill its latest slot, then seed one no larger
+            # line 0's slots are consecutive blocks: seed one no larger, once the latest is full
             latest = line_slots[0][-1]
             full = slot_lines[latest].bit_count() == sizes[latest]
             largest_seed = sizes[latest] if full else 0
@@ -249,7 +296,7 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
                 join(i, slot)
             join(j, slot)
             if slots_completable():
-                witness = search(ptr)
+                witness = search(ptr, i)
                 if witness is not None:
                     return witness
             unjoin(j)
@@ -258,7 +305,7 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
         return None
 
     try:
-        witness = search(0)
+        witness = search(0, 0)
     finally:
         del search  # it refers to itself, so only the cyclic GC would free it and its state
     if witness is None:

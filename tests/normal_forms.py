@@ -6,7 +6,9 @@ by a second algorithm: every line is put in a normal form, the pairwise
 intersection points are normalized too, and points are grouped in a
 dict keyed by their coordinates.  The two share nothing beyond the
 scalar types of ``harbourne.exactnum``, so agreement between them is
-evidence for both.  Nothing in ``harbourne`` imports this module.
+evidence for both.  The field inverses the normal forms need live here:
+nothing in the package inverts a scalar.  Nothing in ``harbourne``
+imports this module.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from math import gcd
 from harbourne._value import Value
 from harbourne.exactnum import (
     RATIONAL,
+    EisensteinRational,
     ExactScalar,
     FieldDescriptor,
+    PrimeFieldElement,
     as_scalar,
-    field_inverse,
-    is_zero,
     scalar_to_json,
 )
 from harbourne.geometry import (
@@ -32,6 +34,27 @@ from harbourne.geometry import (
     _plane_residues,
 )
 from harbourne.tspace import TVector
+
+
+def is_zero(x: ExactScalar) -> bool:
+    if isinstance(x, Fraction):
+        return x == 0
+    if isinstance(x, PrimeFieldElement):
+        return x.residue == 0
+    return x.a == 0 and x.b == 0
+
+
+def field_inverse(x: ExactScalar) -> ExactScalar:
+    if is_zero(x):
+        raise ZeroDivisionError(f"0 has no inverse: {x!r}")
+    if isinstance(x, Fraction):
+        return 1 / x
+    if isinstance(x, PrimeFieldElement):
+        return PrimeFieldElement(pow(x.residue, x.p - 2, x.p), x.p)
+    # conjugate of a + b w is (a - b) - b w, and x * conj(x) is the norm
+    # a^2 - a b + b^2, which is positive definite over Q
+    n = x.a * x.a - x.a * x.b + x.b * x.b
+    return EisensteinRational((x.a - x.b) / n, -x.b / n)
 
 
 class ProjTriple(Value):

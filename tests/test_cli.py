@@ -91,6 +91,25 @@ class TestFeasible:
         code, _, _ = run(capsys, "feasible", "-d", "9", "-t", "0,12,0,0,0,0,0,0")
         assert code == 3
 
+    def test_negative_budget_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "feasible", "-d", "9", "-t", "0,12,0,0,0,0,0,0", "--budget", "-1")
+        assert code == 2
+        assert out == "" and "--budget must be non-negative" in err
+
+    @pytest.mark.parametrize("value", ["-5", "lots"])
+    def test_negative_or_malformed_env_budget_is_ignored(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HARB_NODE_BUDGET", value)
+        code, out, err = run(capsys, "feasible", "-d", "9", "-t", "0,12,0,0,0,0,0,0")
+        assert code == 0
+        assert f"ignoring malformed or negative HARB_NODE_BUDGET={value!r}" in err
+        assert len(json.loads(out)["points"]) == 12
+
+    def test_command_line_budget_wins_over_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("HARB_NODE_BUDGET", "-5")
+        code, _, err = run(capsys, "feasible", "-d", "9", "-t", "0,12,0,0,0,0,0,0", "--budget", "2")
+        assert code == 3
+        assert "warning" not in err
+
     def test_witness_file_output(self, capsys, tmp_path):
         out_file = tmp_path / "witness.json"
         code, _, _ = run(capsys, "feasible", "-d", "3", "-t", "0,1", "--out", str(out_file))
@@ -129,6 +148,13 @@ class TestRealize:
             "claimed_tvector": "0,12,0,0,0,0,0,0",
         }
         assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_negative_budget_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "realize", "-d", "7", "-t", "0,7,0,0,0,0", "--field", "f2", "--budget", "-1"
+        )
+        assert code == 2
+        assert out == "" and "--budget must be non-negative" in err
 
     def test_too_many_lines_usage_error(self, capsys):
         code, _, _ = run(capsys, "realize", "-d", "8", "-t", "4,8,0,0,0,0,0", "--field", "f2")
@@ -233,6 +259,11 @@ class TestTable:
         code, _, err = run(capsys, "table", "--max-d", "2", "--budget", "0")
         assert code == 4
         assert "integrity" in err
+
+    def test_negative_budget_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "table", "--max-d", "2", "--budget", "-1")
+        assert code == 2
+        assert out == "" and "--budget must be non-negative" in err
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "table", "--max-d", "6", "--audit", "--format", "json")

@@ -159,7 +159,7 @@ class TestPointPairs:
 
     def test_low_d_exclusions_are_proven_infeasible(self):
         # every point_pairs exclusion at d <= 8, each confirmed by the exhaustive search
-        nodes_to_exhaust = {tv(7, {2: 3, 3: 4, 4: 1}): 90, tv(8, {2: 6, 3: 4, 5: 1}): 499}
+        nodes_to_exhaust = {tv(7, {2: 3, 3: 4, 4: 1}): 82, tv(8, {2: 6, 3: 4, 5: 1}): 316}
         assert [v for v in POINT_PAIRS_EXCLUDED[MODE_ABSOLUTE] if v.d <= 8] == list(nodes_to_exhaust)
         for vector, nodes in nodes_to_exhaust.items():
             out = feasible_arrangement(vector)

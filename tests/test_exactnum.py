@@ -12,11 +12,10 @@ from harbourne.exactnum import (
     PrimeFieldElement,
     UnsupportedFieldError,
     as_scalar,
-    field_inverse,
-    is_zero,
     scalar_from_json,
     scalar_to_json,
 )
+from normal_forms import field_inverse, is_zero
 
 rationals = st.fractions(max_denominator=50)
 eisensteins = st.builds(EisensteinRational, rationals, rationals)
@@ -103,13 +102,13 @@ def test_rational_inverse_roundtrip(x):
 @given(st.sampled_from(SUPPORTED_PRIMES), st.data())
 def test_prime_inverse_roundtrip(p, data):
     x = data.draw(prime_elements(p))
-    if not x.is_zero():
+    if not is_zero(x):
         assert x * field_inverse(x) == PrimeFieldElement(1, p)
 
 
 @given(eisensteins)
 def test_eisenstein_inverse_roundtrip(x):
-    if not x.is_zero():
+    if not is_zero(x):
         assert x * field_inverse(x) == EisensteinRational(1, 0)
 
 

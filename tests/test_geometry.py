@@ -61,6 +61,8 @@ NORMAL_FORM_NAMES = (
     "plane_lines",
     "certificate_from_configuration",
     "configuration_from_certificate",
+    "field_inverse",
+    "is_zero",
 )
 
 

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from harbourne.criteria import MODES, apply_all
 from harbourne.incidence import (
     CliquePartition,
     SearchBudgetExceeded,
@@ -105,7 +106,7 @@ def test_d10_three_lines_of_three_fourfold_points_infeasible():
     # the point_pairs filter excludes this T; the exhaustive proof stays here
     out = feasible_arrangement(tv(10, {3: 7, 4: 4}))
     assert not out.feasible and out.exhausted
-    assert out.nodes_explored == 279
+    assert out.nodes_explored == 97
 
 
 def test_validate_fano_partition():
@@ -205,6 +206,22 @@ def test_exhaustive_verdicts_up_to_eight_lines():
         for d in range(2, 9)
     }
     assert {d: found for d, found in infeasible.items() if found} == INFEASIBLE_UP_TO_EIGHT_LINES
+
+
+def test_every_filter_survivor_has_a_witness_within_budget():
+    # at d <= 10 surviving the counting filters and being combinatorially feasible coincide
+    survivors = {
+        vector
+        for d in range(2, 11)
+        for vector in enumerate_tvectors(d)
+        for mode in MODES
+        if not apply_all(vector, mode).is_excluded
+    }
+    assert len(survivors) == 228
+    for vector in sorted(survivors, key=lambda v: (v.d, v.counts)):
+        out = feasible_arrangement(vector, node_budget=10_000)
+        assert out.feasible, vector
+        assert validate_partition(out.witness, vector), vector
 
 
 def test_pair_conservation_in_witnesses():
