@@ -203,10 +203,13 @@ def cmd_verify(args) -> int:
     try:
         with open(args.path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        return _usage(f"no such file: {args.path}")
+    except OSError as exc:  # missing, a directory, or not readable
+        return _usage(f"cannot read {args.path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}", file=sys.stderr)
+        return EXIT_NEGATIVE
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deeply
+        print(f"error: cannot parse the certificate: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     try:
         cert = Certificate.from_json(data)

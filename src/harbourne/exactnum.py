@@ -1,39 +1,31 @@
-"""Exact arithmetic over the coordinate fields used by the search.
+"""Exact scalars at the certificate boundary.
 
-Three scalar families cover everything the engine needs:
+A certificate's coordinates lie in Q (``fractions.Fraction``), in F_p for
+p in {2, 3, 5, 7, 11, 13} (``PrimeFieldElement``) or in Q(w), a + b*w
+with w^2 = -1 - w (``EisensteinRational``).  The two classes only hold
+values: they compare, hash and print, and define no arithmetic; the
+verifier computes on cleared integers over Z, Z[w] and Z/p instead.
 
-* arbitrary-precision rationals (``fractions.Fraction``),
-* the prime fields F_p for p in {2, 3, 5, 7, 11, 13},
-* the Eisenstein rationals Q(w), written a + b*w with w^2 = -1 - w.
-
-Every scalar is immutable and hashable, so values can be shared freely
-(a certificate's lines are tuples of them).  All arithmetic is exact;
-there are no tolerances anywhere downstream.
-
-Field membership is established once, at the boundary: ``as_scalar``
-coerces program data and ``scalar_from_json`` parses wire data into the
-scalar type of a ``FieldDescriptor``.  Past that point the code uses
-``+``, ``-`` and ``*`` directly.  Mixing two fields still fails: the
-F_p and Q(w) types raise ``FieldMismatchError`` from their own
-``_check``, with either operand order, since their reflected operators
-run the same check.
+``scalar_from_json`` is the one parser, and ``Certificate`` runs it on
+every coordinate, so field membership is checked there and nowhere else.
+It accepts an int or an "n/d" string over Q, an int in [0, p) over F_p,
+a two-element array of those rationals over Q(w), and scalars already of
+the field; anything else (booleans, floats, "0.5") is a ValueError.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from ._value import Value
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
+_RATIONAL_WIRE = re.compile(r"-?[0-9]+(/[0-9]+)?")  # str(Fraction): "n" or "n/d"
 
 RATIONAL = "rational"
 PRIME = "prime"
 EISENSTEIN = "eisenstein"
-
-
-class FieldMismatchError(ValueError):
-    """Raised when two scalars from different fields are combined."""
 
 
 class UnsupportedFieldError(ValueError):
@@ -49,7 +41,7 @@ class FieldDescriptor(Value):
         if kind not in (RATIONAL, PRIME, EISENSTEIN):
             raise UnsupportedFieldError(f"unknown field kind {kind!r}")
         if kind == PRIME:
-            if p not in SUPPORTED_PRIMES:
+            if not isinstance(p, int) or p not in SUPPORTED_PRIMES:
                 raise UnsupportedFieldError(
                     f"prime field modulus must be one of {SUPPORTED_PRIMES}, got {p!r}"
                 )
@@ -70,10 +62,6 @@ class FieldDescriptor(Value):
     def eisenstein(cls) -> "FieldDescriptor":
         return cls(EISENSTEIN)
 
-    @property
-    def characteristic(self) -> int:
-        return self.p if self.kind == PRIME else 0
-
     def to_json(self) -> dict:
         if self.kind == PRIME:
             return {"kind": PRIME, "p": self.p}
@@ -81,12 +69,9 @@ class FieldDescriptor(Value):
 
     @classmethod
     def from_json(cls, data: dict) -> "FieldDescriptor":
-        kind = data.get("kind")
-        if kind == PRIME:
-            return cls.prime(data["p"])
-        if kind in (RATIONAL, EISENSTEIN):
-            return cls(kind)
-        raise UnsupportedFieldError(f"unknown field kind {kind!r}")
+        if not isinstance(data, dict):
+            raise UnsupportedFieldError(f"field must be an object, got {data!r}")
+        return cls(data.get("kind"), data.get("p"))
 
     def __str__(self) -> str:
         if self.kind == PRIME:
@@ -100,93 +85,22 @@ class PrimeFieldElement(Value):
     __slots__ = ("residue", "p")
 
     def __init__(self, residue: int, p: int) -> None:
-        if p not in SUPPORTED_PRIMES:
-            raise UnsupportedFieldError(
-                f"prime field modulus must be one of {SUPPORTED_PRIMES}, got {p!r}"
-            )
+        FieldDescriptor.prime(p)  # raises UnsupportedFieldError for an unsupported p
         object.__setattr__(self, "residue", residue % p)
         object.__setattr__(self, "p", p)
-
-    def _check(self, other: "PrimeFieldElement") -> None:
-        if not isinstance(other, PrimeFieldElement) or other.p != self.p:
-            raise FieldMismatchError(f"cannot combine F_{self.p} with {other!r}")
-
-    def __add__(self, other: "PrimeFieldElement") -> "PrimeFieldElement":
-        self._check(other)
-        return PrimeFieldElement(self.residue + other.residue, self.p)
-
-    def __sub__(self, other: "PrimeFieldElement") -> "PrimeFieldElement":
-        self._check(other)
-        return PrimeFieldElement(self.residue - other.residue, self.p)
-
-    def __mul__(self, other: "PrimeFieldElement") -> "PrimeFieldElement":
-        self._check(other)
-        return PrimeFieldElement(self.residue * other.residue, self.p)
-
-    def __radd__(self, other) -> "PrimeFieldElement":
-        self._check(other)
-        return other + self
-
-    def __rsub__(self, other) -> "PrimeFieldElement":
-        self._check(other)
-        return other - self
-
-    def __rmul__(self, other) -> "PrimeFieldElement":
-        self._check(other)
-        return other * self
-
-    def __neg__(self) -> "PrimeFieldElement":
-        return PrimeFieldElement(-self.residue, self.p)
 
     def __str__(self) -> str:
         return f"{self.residue} (mod {self.p})"
 
 
 class EisensteinRational(Value):
-    """a + b*w with w a primitive cube root of unity, over the rationals.
-
-    Multiplication reduces w^2 to -1 - w.
-    """
+    """a + b*w with w a primitive cube root of unity, over the rationals."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a: Fraction, b: Fraction) -> None:
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
-
-    def _check(self, other: "EisensteinRational") -> None:
-        if not isinstance(other, EisensteinRational):
-            raise FieldMismatchError(f"cannot combine Q(w) with {other!r}")
-
-    def __add__(self, other: "EisensteinRational") -> "EisensteinRational":
-        self._check(other)
-        return EisensteinRational(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "EisensteinRational") -> "EisensteinRational":
-        self._check(other)
-        return EisensteinRational(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other: "EisensteinRational") -> "EisensteinRational":
-        self._check(other)
-        # (a1 + b1 w)(a2 + b2 w) = a1 a2 + (a1 b2 + a2 b1) w + b1 b2 w^2
-        #                        = (a1 a2 - b1 b2) + (a1 b2 + a2 b1 - b1 b2) w
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return EisensteinRational(a1 * a2 - b1 * b2, a1 * b2 + a2 * b1 - b1 * b2)
-
-    def __radd__(self, other) -> "EisensteinRational":
-        self._check(other)
-        return other + self
-
-    def __rsub__(self, other) -> "EisensteinRational":
-        self._check(other)
-        return other - self
-
-    def __rmul__(self, other) -> "EisensteinRational":
-        self._check(other)
-        return other * self
-
-    def __neg__(self) -> "EisensteinRational":
-        return EisensteinRational(-self.a, -self.b)
 
     def __str__(self) -> str:
         return f"{self.a} + {self.b}w"
@@ -195,48 +109,34 @@ class EisensteinRational(Value):
 ExactScalar = Fraction | PrimeFieldElement | EisensteinRational
 
 
-def as_scalar(value, field: FieldDescriptor) -> ExactScalar:
-    """Coerce ints, fraction strings, or (a, b) pairs into a field scalar."""
-    if field.kind == RATIONAL:
-        if isinstance(value, (int, str, Fraction)):
-            return Fraction(value)
-    elif field.kind == PRIME:
-        if isinstance(value, PrimeFieldElement):
-            if value.p != field.p:
-                raise FieldMismatchError(f"residue mod {value.p} used in F_{field.p}")
-            return value
-        if isinstance(value, int):
-            return PrimeFieldElement(value, field.p)
-    else:
-        if isinstance(value, EisensteinRational):
-            return value
-        if isinstance(value, (int, str, Fraction)):
-            return EisensteinRational(Fraction(value), Fraction(0))
-        if isinstance(value, (tuple, list)) and len(value) == 2:
-            return EisensteinRational(Fraction(value[0]), Fraction(value[1]))
-    raise UnsupportedFieldError(f"cannot coerce {value!r} into {field}")
-
-
 def scalar_to_json(x: ExactScalar):
     """Wire encoding: rationals "n/d" (or "n"), residues as ints, a + b*w as ["a", "b"]."""
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, PrimeFieldElement):
         return x.residue
     if isinstance(x, EisensteinRational):
         return [str(x.a), str(x.b)]
-    raise UnsupportedFieldError(f"not an exact scalar: {x!r}")
+    return str(x)
+
+
+def _rational(data) -> Fraction:
+    wire = isinstance(data, str) and _RATIONAL_WIRE.fullmatch(data)
+    if wire or isinstance(data, (int, Fraction)) and not isinstance(data, bool):
+        return Fraction(data)
+    raise ValueError(f"rational scalar must be an int or an \"n/d\" string, got {data!r}")
 
 
 def scalar_from_json(data, field: FieldDescriptor) -> ExactScalar:
+    """One coordinate as a scalar of ``field``; ZeroDivisionError for an "n/0" string."""
     if field.kind == RATIONAL:
-        if not isinstance(data, (str, int)):
-            raise ValueError(f"rational scalar must be a string, got {data!r}")
-        return Fraction(data)
+        return _rational(data)
     if field.kind == PRIME:
-        if not isinstance(data, int) or not 0 <= data < field.p:
-            raise ValueError(f"prime field scalar must be an int in [0, {field.p}), got {data!r}")
-        return PrimeFieldElement(data, field.p)
+        if isinstance(data, PrimeFieldElement) and data.p == field.p:
+            return data
+        if isinstance(data, int) and not isinstance(data, bool) and 0 <= data < field.p:
+            return PrimeFieldElement(data, field.p)
+        raise ValueError(f"prime field scalar must be an int in [0, {field.p}), got {data!r}")
+    if isinstance(data, EisensteinRational):
+        return data
     if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise ValueError(f"Eisenstein scalar must be a two-element array, got {data!r}")
-    return EisensteinRational(Fraction(data[0]), Fraction(data[1]))
+    return EisensteinRational(_rational(data[0]), _rational(data[1]))

@@ -31,7 +31,6 @@ from .exactnum import (
     ExactScalar,
     FieldDescriptor,
     UnsupportedFieldError,
-    as_scalar,
     scalar_from_json,
     scalar_to_json,
 )
@@ -103,6 +102,8 @@ def realize_over_prime_field(
     tree; ``exhausted=False`` means the node budget ran out and the search
     proves nothing.
     """
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {node_budget}")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     lines = _plane_residues(p)
     d = tv.d
@@ -166,7 +167,7 @@ def realize_over_prime_field(
 
 
 class Certificate(Value):
-    """Serializable realization evidence: a field plus explicit line coordinates."""
+    """Serializable realization evidence: a field and coordinates parsed by ``scalar_from_json``."""
 
     __slots__ = ("label", "field", "lines", "claimed_tvector")
 
@@ -179,9 +180,7 @@ class Certificate(Value):
     ) -> None:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "field", field)
-        object.__setattr__(
-            self, "lines", tuple(tuple(as_scalar(v, field) for v in line) for line in lines)
-        )
+        object.__setattr__(self, "lines", _parse_lines(field, lines))
         object.__setattr__(self, "claimed_tvector", claimed_tvector)
 
     @property
@@ -201,29 +200,42 @@ class Certificate(Value):
     @classmethod
     def from_json(cls, data: dict) -> "Certificate":
         try:
-            label = data["label"]
-            field = FieldDescriptor.from_json(data["field"])
-            raw_lines = data["lines"]
+            label, raw_field, raw_lines = data["label"], data["field"], data["lines"]
         except (KeyError, TypeError) as exc:
             raise CertificateError(f"malformed certificate: missing {exc}") from None
-        lines = []
-        for i, raw in enumerate(raw_lines):
-            if len(raw) != 3:
-                raise CertificateError(f"lines[{i}] must have 3 coordinates")
-            triple = []
-            for j, value in enumerate(raw):
-                try:
-                    triple.append(scalar_from_json(value, field))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise CertificateError(f"lines[{i}][{j}]: {exc}") from None
-            lines.append(tuple(triple))
-        claimed = None
-        if data.get("claimed_tvector") is not None:
+        try:
+            field = FieldDescriptor.from_json(raw_field)
+        except UnsupportedFieldError as exc:
+            raise CertificateError(f"field: {exc}") from None
+        cert = cls(label, field, raw_lines)
+        raw_claim = data.get("claimed_tvector")
+        if raw_claim is None:
+            return cert
+        if not isinstance(raw_claim, str):
+            raise CertificateError(f"claimed_tvector: expected a string, got {raw_claim!r}")
+        try:
+            claimed = TVector.decode(cert.d, raw_claim)
+        except ValueError as exc:
+            raise CertificateError(f"claimed_tvector: {exc}") from None
+        return cls(label, field, cert.lines, claimed)
+
+
+def _parse_lines(field: FieldDescriptor, lines) -> tuple:
+    """Each coordinate through ``scalar_from_json``; line lengths are left to the verifier."""
+    if not isinstance(lines, (list, tuple)):
+        raise CertificateError(f"lines: expected an array of lines, got {lines!r}")
+    parsed = []
+    for i, line in enumerate(lines):
+        if not isinstance(line, (list, tuple)):
+            raise CertificateError(f"lines[{i}]: expected an array of coordinates, got {line!r}")
+        triple = []
+        for j, value in enumerate(line):
             try:
-                claimed = TVector.decode(len(lines), data["claimed_tvector"])
-            except ValueError as exc:
-                raise CertificateError(f"claimed_tvector: {exc}") from None
-        return cls(label, field, tuple(lines), claimed)
+                triple.append(scalar_from_json(value, field))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise CertificateError(f"lines[{i}][{j}]: {exc}") from None
+        parsed.append(tuple(triple))
+    return tuple(parsed)
 
 
 class VerificationReport(Value):

@@ -163,6 +163,8 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
     node budget runs out, so an unfinished search is never mistaken for
     a proof of infeasibility.
     """
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {node_budget}")
     if not check_combinatorial_identity(tv):
         raise ValueError(f"not a solution of the pair-count identity: {tv}")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget

@@ -221,9 +221,9 @@ _BUILTIN = [
 def builtin_certificates() -> CertificateDatabase:
     """The verified certificate database backing the tables, built once per process.
 
-    The entries are data: raw ints and (a, b) pairs that ``Certificate``
-    coerces into field scalars.  Each is verified on load; a failing entry
-    aborts startup.
+    The entries are data in the wire forms, ints and (a, b) pairs, which
+    ``Certificate`` parses into field scalars.  Each is verified on load; a
+    failing entry aborts startup.
     """
     return CertificateDatabase(
         [

@@ -1,14 +1,16 @@
 """Normal-form projective geometry: the tests' independent multiplicity oracle.
 
 ``harbourne.geometry.verify_certificate`` reads a configuration's
-T-vector off exact determinants.  This module computes the same numbers
-by a second algorithm: every line is put in a normal form, the pairwise
-intersection points are normalized too, and points are grouped in a
-dict keyed by their coordinates.  The two share nothing beyond the
-scalar types of ``harbourne.exactnum``, so agreement between them is
-evidence for both.  The field inverses the normal forms need live here:
-nothing in the package inverts a scalar.  Nothing in ``harbourne``
-imports this module.
+T-vector off exact determinants over cleared integers.  This module
+computes the same numbers by a second algorithm: every line is put in a
+normal form, the pairwise intersection points are normalized too, and
+points are grouped in a dict keyed by their coordinates.  The oracle owns
+its arithmetic: ``harbourne.exactnum``'s scalars only hold values, so the
+field operations the normal forms need (``field_add``, ``field_sub``,
+``field_mul``, ``field_inverse`` and ``is_zero``) are written here.  The
+two paths share nothing beyond those data holders and the one scalar
+parser, so agreement between them is evidence for both.  Nothing in
+``harbourne`` imports this module.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from harbourne.exactnum import (
     ExactScalar,
     FieldDescriptor,
     PrimeFieldElement,
-    as_scalar,
+    scalar_from_json,
     scalar_to_json,
 )
 from harbourne.geometry import (
@@ -42,6 +44,32 @@ def is_zero(x: ExactScalar) -> bool:
     if isinstance(x, PrimeFieldElement):
         return x.residue == 0
     return x.a == 0 and x.b == 0
+
+
+def field_add(x: ExactScalar, y: ExactScalar) -> ExactScalar:
+    if isinstance(x, PrimeFieldElement):
+        return PrimeFieldElement(x.residue + y.residue, x.p)
+    if isinstance(x, EisensteinRational):
+        return EisensteinRational(x.a + y.a, x.b + y.b)
+    return x + y
+
+
+def field_sub(x: ExactScalar, y: ExactScalar) -> ExactScalar:
+    if isinstance(x, PrimeFieldElement):
+        return PrimeFieldElement(x.residue - y.residue, x.p)
+    if isinstance(x, EisensteinRational):
+        return EisensteinRational(x.a - y.a, x.b - y.b)
+    return x - y
+
+
+def field_mul(x: ExactScalar, y: ExactScalar) -> ExactScalar:
+    if isinstance(x, PrimeFieldElement):
+        return PrimeFieldElement(x.residue * y.residue, x.p)
+    if isinstance(x, EisensteinRational):
+        # (a1 + b1 w)(a2 + b2 w) = (a1 a2 - b1 b2) + (a1 b2 + a2 b1 - b1 b2) w, as w^2 = -1 - w
+        a1, b1, a2, b2 = x.a, x.b, y.a, y.b
+        return EisensteinRational(a1 * a2 - b1 * b2, a1 * b2 + a2 * b1 - b1 * b2)
+    return x * y
 
 
 def field_inverse(x: ExactScalar) -> ExactScalar:
@@ -77,7 +105,7 @@ class ProjTriple(Value):
     def make(cls, field: FieldDescriptor, raw) -> "ProjTriple":
         if len(raw) != 3:
             raise InvalidConfigurationError(f"expected 3 coordinates, got {len(raw)}")
-        coords = tuple(as_scalar(v, field) for v in raw)
+        coords = tuple(scalar_from_json(v, field) for v in raw)
         if all(is_zero(c) for c in coords):
             raise InvalidConfigurationError("all-zero coordinate triple")
         return cls(field, _normalize(field, coords))
@@ -102,12 +130,12 @@ def _normalize(field: FieldDescriptor, coords) -> tuple:
         return tuple(Fraction(v) for v in ints)
     lead = next(c for c in coords if not is_zero(c))
     inv = field_inverse(lead)
-    return tuple(c * inv for c in coords)
+    return tuple(field_mul(c, inv) for c in coords)
 
 
 def dot(u: ProjTriple, v: ProjTriple) -> ExactScalar:
     (u1, u2, u3), (v1, v2, v3) = u.coords, v.coords
-    return u1 * v1 + u2 * v2 + u3 * v3
+    return field_add(field_add(field_mul(u1, v1), field_mul(u2, v2)), field_mul(u3, v3))
 
 
 def incident(line: ProjTriple, point: ProjTriple) -> bool:
@@ -121,7 +149,11 @@ def cross_product(u: ProjTriple, v: ProjTriple) -> ProjTriple | None:
     projective element.
     """
     (u1, u2, u3), (v1, v2, v3) = u.coords, v.coords
-    w = (u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
+    w = (
+        field_sub(field_mul(u2, v3), field_mul(u3, v2)),
+        field_sub(field_mul(u3, v1), field_mul(u1, v3)),
+        field_sub(field_mul(u1, v2), field_mul(u2, v1)),
+    )
     if all(is_zero(c) for c in w):
         return None
     return ProjTriple(u.field, _normalize(u.field, w))

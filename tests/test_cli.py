@@ -210,6 +210,43 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "/nonexistent/cert.json")
         assert code == 2
 
+    def test_directory_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", str(tmp_path))
+        assert code == 2
+        assert out == "" and err.startswith(f"error: cannot read {tmp_path}")
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe\x00", b"[" * 100_000 + b"]" * 100_000], ids=["binary", "deep"]
+    )
+    def test_unparsable_file_fails(self, capsys, tmp_path, content):
+        path = tmp_path / "cert.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1
+        assert out == "" and err.startswith("error: cannot parse the certificate: ")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"lines": 5}, "lines: expected an array of lines, got 5"),
+            ({"lines": [[1, 0, 0], 7]}, "lines[1]: expected an array of coordinates, got 7"),
+            ({"lines": [[True, 0, 0], [0, 1, 0]]}, "lines[0][0]: rational scalar must be"),
+            ({"claimed_tvector": 5}, "claimed_tvector: expected a string, got 5"),
+            ({"field": {"kind": "prime", "p": 4}}, "field: prime field modulus must be one of"),
+            ({"field": "rational"}, "field: field must be an object, got 'rational'"),
+        ],
+        ids=["lines-int", "line-int", "bool-coordinate", "claimed-int", "unsupported-prime",
+             "field-string"],
+    )
+    def test_malformed_certificate_fails_without_traceback(self, capsys, tmp_path, change, message):
+        data = {"label": "bad", "field": {"kind": "rational"}, "lines": [[1, 0, 0], [0, 1, 0]]}
+        data.update(change)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1
+        assert out == "" and err.startswith(f"verification failed: {message}")
+
     def test_pg23_minus_pencil3(self, capsys, tmp_path):
         from harbourne.pipeline import builtin_certificates
 

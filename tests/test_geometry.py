@@ -20,7 +20,7 @@ from harbourne.exactnum import (
     FieldDescriptor,
     PrimeFieldElement,
     UnsupportedFieldError,
-    as_scalar,
+    scalar_from_json,
 )
 from harbourne.geometry import (
     Certificate,
@@ -39,6 +39,7 @@ from normal_forms import (
     certificate_from_configuration,
     configuration_from_certificate,
     cross_product,
+    field_mul,
     harbourne_value,
     incident,
     plane_lines,
@@ -61,6 +62,9 @@ NORMAL_FORM_NAMES = (
     "plane_lines",
     "certificate_from_configuration",
     "configuration_from_certificate",
+    "field_add",
+    "field_sub",
+    "field_mul",
     "field_inverse",
     "is_zero",
 )
@@ -248,6 +252,10 @@ class TestRealization:
         assert not out.found and not out.exhausted
         assert out.nodes == 3
 
+    def test_negative_budget_is_refused_before_searching(self):
+        with pytest.raises(ValueError, match="node budget must be non-negative, got -3"):
+            realize_over_prime_field(TVector.from_mapping(7, {3: 7}), 2, node_budget=-3)
+
     def test_too_many_lines_rejected(self):
         with pytest.raises(ValueError):
             realize_over_prime_field(TVector.from_mapping(8, {2: 4, 3: 8}), 2)
@@ -305,6 +313,24 @@ class TestCertificates:
         with pytest.raises(CertificateError, match=r"lines\[1\]\[2\]"):
             Certificate.from_json(data)
 
+    @pytest.mark.parametrize(
+        "field, lines, message",
+        [
+            (RAT, 5, r"^lines: expected an array of lines, got 5$"),
+            (RAT, [(1, 0, 0), 7], r"^lines\[1\]: expected an array of coordinates, got 7$"),
+            (RAT, [(1, 0, 0), (0, True, 0)], r"^lines\[1\]\[1\]: .*got True$"),
+            (RAT, [(1, 0, 0), (0, 1, "1/0")], r"^lines\[1\]\[2\]: "),
+            (FieldDescriptor.prime(3), [(0, 1, 2), (1, 0, -1)], r"^lines\[1\]\[2\]: .*got -1$"),
+            (FieldDescriptor.prime(3), [(PrimeFieldElement(1, 5), 0, 0)], r"^lines\[0\]\[0\]: "),
+            (EIS, [((1, 0), 1, (0, 0))], r"^lines\[0\]\[1\]: .*two-element array"),
+        ],
+        ids=["lines-int", "line-int", "bool", "zero-denominator", "residue-range", "foreign-residue",
+             "eisenstein-int"],
+    )
+    def test_constructor_parses_every_coordinate(self, field, lines, message):
+        with pytest.raises(CertificateError, match=message):
+            Certificate("bad", field, lines)
+
 
 def normal_form_outcome(cert):
     """The normal-form path (normalized points grouped in a dict), as an oracle."""
@@ -335,16 +361,20 @@ def nonzero_scalars(field):
         values = st.tuples(SMALL_FRACTIONS, SMALL_FRACTIONS).filter(lambda ab: ab != (0, 0))
     else:
         values = SMALL_FRACTIONS.filter(bool)
-    return values.map(lambda v: as_scalar(v, field))
+    return values.map(lambda v: scalar_from_json(v, field))
 
 
 @lru_cache(maxsize=None)
 def small_lines(field):
     """Distinct lines with entries 0 and units (+-1, and +-w, +-w^2 over Q(w)): many concurrent."""
-    units = [(1, 0), (0, 1), (-1, -1)] if field == EIS else [1]
-    digits = [0, *units, *((-a, -b) for a, b in units)] if field == EIS else [0, 1, -1]
-    normal = {ProjTriple.make(field, raw): raw for raw in product(digits, repeat=3) if any(raw)}
-    return [tuple(as_scalar(v, field) for v in raw) for raw in normal.values()]
+    if field == EIS:
+        units = [(1, 0), (0, 1), (-1, -1)]
+        digits = [(0, 0), *units, *((-a, -b) for a, b in units)]
+    else:
+        digits = [0, 1, field.p - 1 if field.kind == "prime" else -1]
+    triples = (tuple(scalar_from_json(v, field) for v in raw) for raw in product(digits, repeat=3))
+    normal = {ProjTriple.make(field, t): t for t in triples if not all(map(normal_forms.is_zero, t))}
+    return list(normal.values())
 
 
 @st.composite
@@ -353,7 +383,7 @@ def configurations(draw, field):
     pool = small_lines(field)
     picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=8, unique=True))
     scales = draw(st.lists(nonzero_scalars(field), min_size=len(picks), max_size=len(picks)))
-    return [tuple(c * x for x in line) for c, line in zip(scales, picks)]
+    return [tuple(field_mul(c, x) for x in line) for c, line in zip(scales, picks)]
 
 
 class TestDeterminantVerifier:
@@ -382,7 +412,7 @@ class TestDeterminantVerifier:
         lines = data.draw(configurations(field))
         line = data.draw(st.sampled_from(lines))
         c = data.draw(nonzero_scalars(field))
-        cert = Certificate("dup", field, (*lines, tuple(c * x for x in line)))
+        cert = Certificate("dup", field, (*lines, tuple(field_mul(c, x) for x in line)))
         assert determinant_outcome(cert) == normal_form_outcome(cert)
         assert determinant_outcome(cert).endswith("duplicate line in configuration")
 

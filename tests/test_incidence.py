@@ -152,6 +152,11 @@ def test_budget_exhaustion_raises():
     assert excinfo.value.nodes == 4
 
 
+def test_negative_budget_is_refused_before_searching():
+    with pytest.raises(ValueError, match="node budget must be non-negative, got -1"):
+        feasible_arrangement(tv(3, {3: 1}), node_budget=-1)
+
+
 def test_infeasible_requires_exhausted():
     with pytest.raises(ValueError):
         SearchOutcome(False, None, 10, False)
