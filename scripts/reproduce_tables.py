@@ -14,8 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from harbourne.cli import SCHEMA_VERSION, UsageError, table_fields
 from harbourne.criteria import MODE_ABSOLUTE, MODE_COMPLEX
-from harbourne.exactnum import SUPPORTED_PRIMES
 from harbourne.pipeline import builtin_certificates, compute_table
 from harbourne.tspace import render_decimal
 
@@ -27,16 +27,10 @@ def main() -> int:
     parser.add_argument("--out", default="results")
     args = parser.parse_args()
 
-    # usage errors exit 2, as in `harbourne table`
-    if not 2 <= args.max_d <= 10:
-        parser.error(f"max-d must lie in [2, 10], got {args.max_d}")
     try:
-        fields = tuple(int(f) for f in args.fields.split(",") if f.strip())
-    except ValueError:
-        parser.error(f"malformed field list {args.fields!r}")
-    unsupported = [p for p in fields if p not in SUPPORTED_PRIMES]
-    if unsupported:
-        parser.error(f"unsupported field(s) {unsupported}; choose from {SUPPORTED_PRIMES}")
+        fields = table_fields(args.max_d, args.fields)
+    except UsageError as exc:
+        parser.error(str(exc))  # exits 2, as `harbourne table` does
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     db = builtin_certificates()
@@ -48,7 +42,7 @@ def main() -> int:
         elapsed = time.time() - start
         tables[mode] = rows
         payload = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "mode": mode,
             "fields": list(fields),
             "elapsed_seconds": round(elapsed, 3),

@@ -4,6 +4,12 @@ Subcommands: enumerate, filter, feasible, realize, verify, table.
 Exit codes are a stable contract: 0 success/feasible, 1 proven negative,
 2 usage error, 3 inconclusive (budget), 4 table-integrity failure.
 The environment variable HARB_NODE_BUDGET overrides the search budget.
+
+Usage errors have one path: the helpers and commands raise
+:class:`UsageError`, often translating the ValueError of the library
+rule they break, and ``main`` prints ``error: ...`` and returns 2.
+``scripts/reproduce_tables.py`` checks its table arguments with the same
+:func:`table_fields`.
 """
 
 from __future__ import annotations
@@ -16,20 +22,14 @@ from fractions import Fraction
 
 from . import criteria, incidence, pipeline
 from .exactnum import SUPPORTED_PRIMES, FieldDescriptor
-from .geometry import (
-    Certificate,
-    CertificateError,
-    UnsupportedFieldError,
-    realize_over_prime_field,
-    verify_certificate,
-)
+from .geometry import Certificate, CertificateError, realize_over_prime_field, verify_certificate
 from .tspace import (
-    InvalidDegreeError,
     TVector,
-    combinatorial_quotient,
     enumerate_tvectors,
-    identity_imbalance,
+    quotient_fraction,
     render_decimal,
+    render_mixed,
+    require_solution,
 )
 
 SCHEMA_VERSION = 1
@@ -41,21 +41,19 @@ EXIT_INCONCLUSIVE = 3
 EXIT_INTEGRITY = 4
 
 
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+class UsageError(Exception):
+    """A malformed command line; ``main`` reports it and exits 2."""
 
 
 def _node_budget(args) -> int | None:
     """``--budget``, else HARB_NODE_BUDGET, else None (the search's default).
 
-    A negative ``--budget`` raises ValueError, which the commands report as
-    a usage error; a negative or malformed HARB_NODE_BUDGET is ignored with
-    a warning.
+    A negative ``--budget`` is a usage error; a negative or malformed
+    HARB_NODE_BUDGET is ignored with a warning.
     """
     if args.budget is not None:
         if args.budget < 0:
-            raise ValueError(f"--budget must be non-negative, got {args.budget}")
+            raise UsageError(f"--budget must be non-negative, got {args.budget}")
         return args.budget
     env = os.environ.get("HARB_NODE_BUDGET")
     if env:
@@ -69,24 +67,31 @@ def _node_budget(args) -> int | None:
     return None
 
 
-def _parse_tvector(args) -> TVector | None:
+def _parse_tvector(args) -> TVector:
+    """``-d`` and ``-t`` as a solution of the pair-count identity."""
     try:
         tv = TVector.decode(args.d, args.t)
-    except (ValueError, InvalidDegreeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-    imbalance = identity_imbalance(tv)
-    if imbalance != 0:
-        print(
-            f"error: T-vector violates the pair-count identity: "
-            f"sum t_k*C(k,2) - C(d,2) = {imbalance:+d}",
-            file=sys.stderr,
-        )
-        return None
+        require_solution(tv)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return tv
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
+def table_fields(max_d: int, fields: str) -> tuple[int, ...]:
+    """Check a table run's ``--max-d`` and parse its ``--fields`` into supported primes."""
+    if not 2 <= max_d <= 10:
+        raise UsageError(f"max-d must lie in [2, 10], got {max_d}")
+    try:
+        primes = tuple(int(f) for f in fields.split(",") if f.strip())
+    except ValueError:
+        raise UsageError(f"malformed field list {fields!r}") from None
+    unsupported = [p for p in primes if p not in SUPPORTED_PRIMES]
+    if unsupported:
+        raise UsageError(f"unsupported field(s) {unsupported}; choose from {SUPPORTED_PRIMES}")
+    return primes
+
+
+def _emit_json(payload: dict, out: str | None = None) -> None:
     text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -95,26 +100,23 @@ def _emit_json(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text.replace(" ", ""))
-
-
 def cmd_enumerate(args) -> int:
     if args.d < 2 or args.d > 10:
-        return _usage(f"d must lie in [2, 10], got {args.d}")
+        raise UsageError(f"d must lie in [2, 10], got {args.d}")
     ceiling = None
     if args.below is not None:
         try:
-            ceiling = _parse_fraction(args.below)
+            ceiling = Fraction(args.below.replace(" ", ""))
         except (ValueError, ZeroDivisionError):
-            return _usage(f"malformed bound {args.below!r}")
-    vectors = enumerate_tvectors(args.d, ceiling)
+            raise UsageError(f"malformed bound {args.below!r}") from None
     entries = []
-    for tv in vectors:
-        q = combinatorial_quotient(tv)
-        entries.append({"t": tv.encode(), "q": str(q.value), "decimal": q.decimal, "mixed": q.mixed})
+    for tv in enumerate_tvectors(args.d, ceiling):
+        q = quotient_fraction(tv)
+        entries.append(
+            {"t": tv.encode(), "q": str(q), "decimal": render_decimal(q), "mixed": render_mixed(q)}
+        )
     if args.format == "json":
-        print(json.dumps({"schema_version": SCHEMA_VERSION, "d": args.d, "tvectors": entries}, indent=2))
+        _emit_json({"d": args.d, "tvectors": entries})
     elif args.format == "csv":
         print("t,q,decimal")
         for e in entries:
@@ -128,8 +130,6 @@ def cmd_enumerate(args) -> int:
 
 def cmd_filter(args) -> int:
     tv = _parse_tvector(args)
-    if tv is None:
-        return EXIT_USAGE
     verdict = criteria.apply_all(tv, args.mode)
     print(json.dumps(verdict.to_json(), indent=2))
     return EXIT_NEGATIVE if verdict.is_excluded else EXIT_OK
@@ -137,12 +137,7 @@ def cmd_filter(args) -> int:
 
 def cmd_feasible(args) -> int:
     tv = _parse_tvector(args)
-    if tv is None:
-        return EXIT_USAGE
-    try:
-        budget = _node_budget(args)
-    except ValueError as exc:
-        return _usage(str(exc))
+    budget = _node_budget(args)
     try:
         outcome = incidence.feasible_arrangement(tv, budget)
     except incidence.SearchBudgetExceeded as exc:
@@ -158,32 +153,26 @@ def cmd_feasible(args) -> int:
     return EXIT_OK
 
 
-def _parse_field(text: str) -> int | None:
-    text = text.strip().lower()
-    if text.startswith("f") and text[1:].isdigit():
-        return int(text[1:])
-    if text.isdigit():
-        return int(text)
-    return None
+def _parse_field(text: str) -> int:
+    """``f3`` or ``3`` as the modulus 3; ``FieldDescriptor`` owns which moduli are supported."""
+    digits = text.strip().lower()
+    digits = digits[1:] if digits.startswith("f") else digits
+    try:
+        if digits.isdecimal():
+            return int(digits)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise UsageError(f"malformed field {text!r}; expected e.g. f2, f3")
 
 
 def cmd_realize(args) -> int:
     tv = _parse_tvector(args)
-    if tv is None:
-        return EXIT_USAGE
     p = _parse_field(args.field)
-    if p is None:
-        return _usage(f"malformed field {args.field!r}; expected e.g. f2, f3")
-    try:
-        budget = _node_budget(args)
-    except ValueError as exc:
-        return _usage(str(exc))
+    budget = _node_budget(args)
     try:
         outcome = realize_over_prime_field(tv, p, budget)
-    except UnsupportedFieldError as exc:
-        return _usage(str(exc))
-    except ValueError as exc:
-        return _usage(str(exc))
+    except ValueError as exc:  # an unsupported prime, or more lines than PG(2, p) has
+        raise UsageError(str(exc)) from None
     if not outcome.found:
         if outcome.exhausted:
             print(
@@ -204,7 +193,7 @@ def cmd_verify(args) -> int:
         with open(args.path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:  # missing, a directory, or not readable
-        return _usage(f"cannot read {args.path}: {exc.strerror}")
+        raise UsageError(f"cannot read {args.path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -245,31 +234,15 @@ def _print_table_text(rows, with_audit: bool) -> None:
 
 
 def cmd_table(args) -> int:
-    if not 2 <= args.max_d <= 10:
-        return _usage(f"max-d must lie in [2, 10], got {args.max_d}")
-    try:
-        fields = tuple(int(f) for f in args.fields.split(",") if f.strip())
-    except ValueError:
-        return _usage(f"malformed field list {args.fields!r}")
-    unsupported = [p for p in fields if p not in SUPPORTED_PRIMES]
-    if unsupported:
-        return _usage(f"unsupported field(s) {unsupported}; choose from {SUPPORTED_PRIMES}")
-    try:
-        budget = _node_budget(args)
-    except ValueError as exc:
-        return _usage(str(exc))
+    fields = table_fields(args.max_d, args.fields)
+    budget = _node_budget(args)
     try:
         rows = pipeline.compute_table(args.max_d, args.mode, fields, node_budget=budget)
     except pipeline.TableIntegrityError as exc:
         print(f"table integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "mode": args.mode,
-            "rows": [row.to_json(with_audit=args.audit) for row in rows],
-        }
-        print(json.dumps(payload, indent=2))
+        _emit_json({"mode": args.mode, "rows": [row.to_json(with_audit=args.audit) for row in rows]})
     elif args.format == "csv":
         print("d,value,decimal,witness,integrity_ok")
         for row in rows:
@@ -341,9 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

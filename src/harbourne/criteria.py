@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb
 
 from ._value import Value
-from .tspace import TVector, check_combinatorial_identity
+from .tspace import TVector, require_solution
 
 PASSED = "passed"
 EXCLUDED = "excluded"
@@ -73,11 +73,6 @@ def _excluded(criterion: str, detail: str) -> ExclusionVerdict:
     return ExclusionVerdict(criterion, detail)
 
 
-def _require_valid(tv: TVector) -> None:
-    if not check_combinatorial_identity(tv):
-        raise ValueError(f"not a solution of the pair-count identity: {tv}")
-
-
 def multiplicity_sum_filter(tv: TVector) -> ExclusionVerdict:
     """Check sum of the r largest multiplicities <= d + C(r,2) for every r.
 
@@ -85,7 +80,7 @@ def multiplicity_sum_filter(tv: TVector) -> ExclusionVerdict:
     one line) gives the bound; r = 3 and r = 4 are the classical
     triangular and quadrangle cases.
     """
-    _require_valid(tv)
+    require_solution(tv)
     mults = tv.multiplicities()
     running = 0
     for r, m in enumerate(mults, start=1):
@@ -109,7 +104,7 @@ def two_pencils_filter(tv: TVector) -> ExclusionVerdict:
     the two cases (points joined by a configuration line or not), hence
     valid without knowing which case occurs.
     """
-    _require_valid(tv)
+    require_solution(tv)
     if tv.s < 2:
         return _passed("fewer than two singular points")
     mults = tv.multiplicities()
@@ -260,7 +255,7 @@ def parity_profile_filter(tv: TVector) -> ExclusionVerdict:
     d lines must distribute over the admissible profiles so that k-fold
     points collect exactly k * t_k incidences for every k.
     """
-    _require_valid(tv)
+    require_solution(tv)
     ks, profiles, counts = _line_profiles(tv)
     return _parity_verdict(tv, ks, profiles, _profile_mix(tv, ks, counts))
 
@@ -309,7 +304,7 @@ def point_pairs_filter(tv: TVector) -> ExclusionVerdict:
     is inapplicable and passes (that exclusion is
     :func:`parity_profile_filter`'s).
     """
-    _require_valid(tv)
+    require_solution(tv)
     ks, profiles, counts = _line_profiles(tv)
     return _point_pairs_verdict(tv, ks, profiles, counts, _profile_mix(tv, ks, counts))
 
@@ -371,7 +366,7 @@ def hirzebruch_filter(tv: TVector) -> ExclusionVerdict:
     Four complex audit entries rest on this filter alone: d=7 (0,7,0,...)
     and d=10 (0,9,3,...), (3,6,4,...) and (3,8,3,...).
     """
-    _require_valid(tv)
+    require_solution(tv)
     if tv.d < 6:
         return _passed("inapplicable: d < 6")
     if tv.t(tv.d) != 0 or tv.t(tv.d - 1) != 0 or tv.t(tv.d - 2) != 0:

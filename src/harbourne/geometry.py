@@ -27,14 +27,14 @@ from .exactnum import (
     EISENSTEIN,
     PRIME,
     RATIONAL,
-    SUPPORTED_PRIMES,
     ExactScalar,
     FieldDescriptor,
     UnsupportedFieldError,
     scalar_from_json,
     scalar_to_json,
 )
-from .incidence import DEFAULT_NODE_BUDGET, SearchBudgetExceeded
+# DEFAULT_NODE_BUDGET stays bound here: the benchmark records geometry.DEFAULT_NODE_BUDGET
+from .incidence import DEFAULT_NODE_BUDGET, SearchBudgetExceeded, resolve_node_budget
 from .tspace import TVector
 
 
@@ -49,8 +49,7 @@ class CertificateError(ValueError):
 @lru_cache(maxsize=None)
 def _plane_residues(p: int) -> tuple[tuple[int, int, int], ...]:
     """Residues of the normalized lines of PG(2, p), lexicographically ordered."""
-    if p not in SUPPORTED_PRIMES:
-        raise UnsupportedFieldError(f"unsupported prime {p}; choose from {SUPPORTED_PRIMES}")
+    FieldDescriptor.prime(p)  # an unsupported p raises UnsupportedFieldError
     return ((0, 0, 1), *((0, 1, c) for c in range(p)), *((1, b, c) for b in range(p) for c in range(p)))
 
 
@@ -102,9 +101,7 @@ def realize_over_prime_field(
     tree; ``exhausted=False`` means the node budget ran out and the search
     proves nothing.
     """
-    if node_budget is not None and node_budget < 0:
-        raise ValueError(f"node budget must be non-negative, got {node_budget}")
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    budget = resolve_node_budget(node_budget)
     lines = _plane_residues(p)
     d = tv.d
     if d > len(lines):

@@ -63,7 +63,7 @@ from __future__ import annotations
 from math import comb
 
 from ._value import Value
-from .tspace import TVector, check_combinatorial_identity
+from .tspace import TVector, require_solution
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -87,10 +87,6 @@ class CliquePartition(Value):
 
     def to_json(self) -> dict:
         return {"d": self.d, "points": [list(p) for p in self.points]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CliquePartition":
-        return cls(int(data["d"]), tuple(tuple(p) for p in data["points"]))
 
 
 class SearchOutcome(Value):
@@ -139,6 +135,15 @@ def validate_partition(partition: CliquePartition, tv: TVector) -> bool:
     return True
 
 
+def resolve_node_budget(node_budget: int | None) -> int:
+    """The budget a search runs with: DEFAULT_NODE_BUDGET for None; negative is a ValueError."""
+    if node_budget is None:
+        return DEFAULT_NODE_BUDGET
+    if node_budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {node_budget}")
+    return node_budget
+
+
 def _representable_degrees(tv: TVector) -> list[bool]:
     """Which totals sum (k-1)*a_k with 0 <= a_k <= t_k can reach, up to d-1."""
     limit = tv.d - 1
@@ -163,11 +168,8 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
     node budget runs out, so an unfinished search is never mistaken for
     a proof of infeasibility.
     """
-    if node_budget is not None and node_budget < 0:
-        raise ValueError(f"node budget must be non-negative, got {node_budget}")
-    if not check_combinatorial_identity(tv):
-        raise ValueError(f"not a solution of the pair-count identity: {tv}")
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    budget = resolve_node_budget(node_budget)
+    require_solution(tv)
     d, s = tv.d, tv.s
 
     sizes = tv.multiplicities()  # slot sizes, descending

@@ -89,17 +89,6 @@ class TVector(Value):
         return f"d={self.d}:({self.encode()})"
 
 
-class QuotientValue(Value):
-    """Exact quotient with its two deterministic renderings."""
-
-    __slots__ = ("value", "decimal", "mixed")
-
-    def __init__(self, value: Fraction, decimal: str, mixed: str) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "decimal", decimal)
-        object.__setattr__(self, "mixed", mixed)
-
-
 def check_combinatorial_identity(tv: TVector) -> bool:
     """True iff sum t_k * C(k,2) equals C(d,2)."""
     return identity_imbalance(tv) == 0
@@ -108,6 +97,15 @@ def check_combinatorial_identity(tv: TVector) -> bool:
 def identity_imbalance(tv: TVector) -> int:
     """sum t_k * C(k,2) - C(d,2); zero exactly for solution vectors."""
     return sum(tv.t(k) * comb(k, 2) for k in range(2, tv.d + 1)) - comb(tv.d, 2)
+
+
+def require_solution(tv: TVector) -> None:
+    """Raise ValueError, naming the imbalance, unless T solves the pair-count identity."""
+    imbalance = identity_imbalance(tv)
+    if imbalance:
+        raise ValueError(
+            f"T-vector violates the pair-count identity: sum t_k*C(k,2) - C(d,2) = {imbalance:+d}"
+        )
 
 
 def quotient_fraction(tv: TVector) -> Fraction:
@@ -136,11 +134,6 @@ def render_mixed(x: Fraction) -> str:
     if whole == 0:
         return f"{sign}{rem}/{x.denominator}"
     return f"{sign}{whole} {rem}/{x.denominator}"
-
-
-def combinatorial_quotient(tv: TVector) -> QuotientValue:
-    q = quotient_fraction(tv)
-    return QuotientValue(q, render_decimal(q), render_mixed(q))
 
 
 def sort_key(tv: TVector):

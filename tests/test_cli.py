@@ -11,6 +11,48 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class TestUsageErrors:
+    """Every usage error leaves stdout empty and prints one `error:` line, from `main`."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("enumerate", "-d", "1"), "d must lie in [2, 10], got 1"),
+            (("enumerate", "-d", "10", "--below=x"), "malformed bound 'x'"),
+            (
+                ("filter", "-d", "6", "-t", "1,5,0,0,0"),
+                "T-vector violates the pair-count identity: sum t_k*C(k,2) - C(d,2) = +1",
+            ),
+            (
+                ("feasible", "-d", "3", "-t", "3,x"),
+                "malformed T-vector '3,x': invalid literal for int() with base 10: 'x'",
+            ),
+            (("feasible", "-d", "3", "-t", "3,0", "--budget", "-1"), "--budget must be non-negative, got -1"),
+            (("realize", "-d", "3", "-t", "3,0", "--field", "x"), "malformed field 'x'; expected e.g. f2, f3"),
+            (
+                ("realize", "-d", "3", "-t", "3,0", "--field", "f" + "9" * 5000),
+                f"malformed field 'f{'9' * 5000}'; expected e.g. f2, f3",
+            ),
+            (
+                ("realize", "-d", "3", "-t", "3,0", "--field", "f4"),
+                "prime field modulus must be one of (2, 3, 5, 7, 11, 13), got 4",
+            ),
+            (
+                ("realize", "-d", "8", "-t", "4,8,0,0,0,0,0", "--field", "f2"),
+                "cannot pick 8 distinct lines in PG(2,2) (7 lines)",
+            ),
+            (("table", "--max-d", "11"), "max-d must lie in [2, 10], got 11"),
+            (("table", "--fields", "2,x"), "malformed field list '2,x'"),
+            (("table", "--fields", "4,9,2"), "unsupported field(s) [4, 9]; choose from (2, 3, 5, 7, 11, 13)"),
+        ],
+        ids=["degree", "bound", "identity", "tvector", "budget", "field", "field-too-long", "field-f4",
+             "too-many-lines", "max-d", "field-list", "unsupported-fields"],
+    )
+    def test_one_error_line_and_exit_two(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestEnumerate:
     def test_four_lines_four_rows(self, capsys):
         code, out, _ = run(capsys, "enumerate", "-d", "4")

@@ -307,6 +307,20 @@ def test_filters_are_necessary_conditions_for_feasibility():
                 assert not feasible_arrangement(vector).feasible, vector
 
 
+def test_absolute_exclusion_is_an_exhausted_search_up_to_nine_lines():
+    """Filter survival is combinatorial feasibility at d <= 9, a second proof of each exclusion.
+
+    CI runs the same check at d = 10.
+    """
+    counted = Counter()
+    for d in range(2, 10):
+        for vector in enumerate_tvectors(d):
+            excluded = apply_all(vector, MODE_ABSOLUTE).is_excluded
+            assert excluded is not feasible_arrangement(vector).feasible, vector
+            counted[excluded] += 1
+    assert counted == {True: 146, False: 122}
+
+
 def test_filters_pure_and_deterministic():
     vector = tv(10, {2: 2, 3: 7, 4: 2, 5: 1})
     results = {apply_all(vector, MODE_ABSOLUTE).detail for _ in range(3)}

@@ -11,7 +11,6 @@ from harbourne.tspace import (
     InvalidDegreeError,
     TVector,
     check_combinatorial_identity,
-    combinatorial_quotient,
     enumerate_tvectors,
     quotient_fraction,
     render_decimal,
@@ -171,7 +170,6 @@ def test_rendering(value, decimal, mixed):
 
 
 def test_quotient_value_renderings_derived_from_value():
-    q = combinatorial_quotient(TVector.from_mapping(10, {3: 9, 4: 3}))
-    assert q.value == Fraction(-29, 12)
-    assert q.decimal == render_decimal(q.value)
-    assert q.mixed == render_mixed(q.value)
+    q = quotient_fraction(TVector.from_mapping(10, {3: 9, 4: 3}))
+    assert q == Fraction(-29, 12)
+    assert (render_decimal(q), render_mixed(q)) == ("-2.416667", "-2 5/12")

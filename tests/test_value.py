@@ -19,7 +19,7 @@ from harbourne.geometry import (
 )
 from harbourne.incidence import CliquePartition, SearchOutcome
 from harbourne.pipeline import CandidateStatus, TableRow
-from harbourne.tspace import QuotientValue, TVector, combinatorial_quotient
+from harbourne.tspace import TVector
 from normal_forms import ProjTriple
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -33,10 +33,6 @@ def _pencil():
 # one builder per value class, with the repr it has always had
 SAMPLES = {
     TVector: (lambda: TVector(3, [3, 0]), "TVector(d=3, counts=(3, 0))"),
-    QuotientValue: (
-        lambda: combinatorial_quotient(TVector(3, (3, 0))),
-        "QuotientValue(value=Fraction(-1, 1), decimal='-1.000000', mixed='-1')",
-    ),
     ExclusionVerdict: (
         lambda: ExclusionVerdict("parity_profile", "line 0"),
         "ExclusionVerdict(criterion='parity_profile', detail='line 0')",
@@ -92,7 +88,6 @@ SAMPLES = {
 
 FIELDS = {
     TVector: ("d", "counts"),
-    QuotientValue: ("value", "decimal", "mixed"),
     ExclusionVerdict: ("criterion", "detail"),
     FieldDescriptor: ("kind", "p"),
     PrimeFieldElement: ("residue", "p"),
