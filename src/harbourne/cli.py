@@ -94,8 +94,11 @@ def table_fields(max_d: int, fields: str) -> tuple[int, ...]:
 def _emit_json(payload: dict, out: str | None = None) -> None:
     text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:  # a missing directory, a directory, or not writable
+            raise UsageError(f"cannot write {out}: {exc.strerror}") from None
     else:
         print(text)
 

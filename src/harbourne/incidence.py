@@ -10,8 +10,19 @@ pairs to slots in lexicographic order.  An uncovered pair either joins a
 slot already containing its first line or seeds the first empty slot of
 some size (identical empty slots are interchangeable).  The state is
 one int bitmask of lines per slot, the slots of each line in joining
-order, and each line's committed degree; a pair (i, j) is covered iff
-some slot of i has bit j.
+order, and each line's committed degree.  Every join and unjoin also
+keeps three summaries current, so no node rescans the state:
+
+* ``met[line]``, the other lines sharing a slot with it; a pair (i, j)
+  is covered iff ``met[i]`` has bit j.  Unjoining clears the bits of the
+  slot's other members exactly: two cliques share at most one line, so
+  the line met each of them in this slot only;
+* ``partial``, a bitmask of the slots with 0 < fill < size, the only
+  slots the completability check visits;
+* ``unseeded[k]``, the number of empty slots of size k.  Slots of one
+  size form a block, seeding takes the block's first empty slot and
+  unseeding is last in, first out, so the empty ones are the block's
+  tail and the next seed is ``block_end[k] - unseeded[k]``.
 
 Isomorph rejection (McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 26 (1998)) works stage by stage, where stage i is the pairs
@@ -177,6 +188,16 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
     slot_lines = [0] * n_slots  # bitmask of the lines in each slot
     line_slots: list[list[int]] = [[] for _ in range(d)]  # in joining order
     committed = [0] * d  # sum (size - 1) over slots containing the line
+    met = [0] * d  # bitmask of the other lines sharing a slot with the line
+    partial = 0  # bitmask of the slots with 0 < fill < size
+    # the slots of one size form a block whose empty slots are its last unseeded[size]
+    block_end = [0] * (d + 1)
+    unseeded = [0] * (d + 1)
+    for slot, size in enumerate(sizes):
+        block_end[size] = slot + 1
+        unseeded[size] += 1
+    seed_sizes = sorted(set(sizes), reverse=True)
+    all_lines = (1 << d) - 1
     reachable = _representable_degrees(tv)
     max_deg = d - 1
 
@@ -189,44 +210,76 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
     twins = [0] * d
     twins[0] = (1 << d) - 4
 
-    def may_join(line: int, slot: int) -> bool:
-        size = sizes[slot]
+    def fits(line: int, size: int) -> bool:
+        # the degree and share checks for line joining a slot of this size
         new_committed = committed[line] + size - 1
         if new_committed > max_deg or not reachable[max_deg - new_committed]:
             return False
-        met = 0  # lines already sharing a slot with `line`
         for other in line_slots[line]:
             if not share_ok[size][sizes[other]]:
                 return False
-            met |= slot_lines[other]
-        return not met & slot_lines[slot]
+        return True
 
     def join(line: int, slot: int) -> None:
-        slot_lines[slot] |= 1 << line
+        nonlocal partial
+        members = slot_lines[slot]
+        if not members:
+            unseeded[sizes[slot]] -= 1
+        met[line] |= members
+        bit = 1 << line
+        while members:
+            low = members & -members
+            met[low.bit_length() - 1] |= bit
+            members ^= low
+        slot_lines[slot] |= bit
         committed[line] += sizes[slot] - 1
         line_slots[line].append(slot)
+        if slot_lines[slot].bit_count() < sizes[slot]:
+            partial |= 1 << slot
+        else:
+            partial &= ~(1 << slot)
 
     def unjoin(line: int) -> None:
+        nonlocal partial
         slot = line_slots[line].pop()
         committed[line] -= sizes[slot] - 1
-        slot_lines[slot] &= ~(1 << line)
+        bit = 1 << line
+        slot_lines[slot] &= ~bit
+        members = slot_lines[slot]
+        if members:
+            partial |= 1 << slot
+        else:
+            partial &= ~(1 << slot)
+            unseeded[sizes[slot]] += 1
+        met[line] &= ~members  # exact: line meets each of them in this slot only
+        while members:
+            low = members & -members
+            met[low.bit_length() - 1] &= ~bit
+            members ^= low
 
     def slots_completable() -> bool:
         # every partially filled slot still needs enough joinable lines
-        for slot in range(n_slots):
-            have = slot_lines[slot].bit_count()
-            if have == 0 or have == sizes[slot]:
-                continue
-            need = sizes[slot] - have
-            count = 0
-            for line in range(d):
-                if slot_lines[slot] >> line & 1:
-                    continue
-                if may_join(line, slot):
-                    count += 1
-                    if count >= need:
-                        break
-            if count < need:
+        todo = partial
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            slot = low.bit_length() - 1
+            size = sizes[slot]
+            members = blocked = slot_lines[slot]
+            need = size - members.bit_count()
+            while members:  # a line that met a member may not join
+                low = members & -members
+                blocked |= met[low.bit_length() - 1]
+                members ^= low
+            free = all_lines & ~blocked
+            if free.bit_count() < need:
+                return False
+            while need and free:
+                low = free & -free
+                if fits(low.bit_length() - 1, size):
+                    need -= 1
+                free ^= low
+            if need:
                 return False
         return True
 
@@ -247,10 +300,7 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
         nonlocal nodes
         while ptr < len(pairs):
             i, j = pairs[ptr]
-            met = 0  # lines already sharing a slot with i
-            for slot in line_slots[i]:
-                met |= slot_lines[slot]
-            if not met >> j & 1:
+            if not met[i] >> j & 1:
                 break
             ptr += 1
         if ptr == len(pairs):
@@ -270,24 +320,17 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
             slots_of_i = slots_of_i[first:]
         candidates: list[int] = []
         for slot in slots_of_i:
-            if slot_lines[slot].bit_count() < sizes[slot] and may_join(j, slot):
+            if partial >> slot & 1 and not met[j] & slot_lines[slot] and fits(j, sizes[slot]):
                 candidates.append(slot)
         largest_seed = d
         if i == 0 and line_slots[0]:
             # line 0's slots are consecutive blocks: seed one no larger, once the latest is full
             latest = line_slots[0][-1]
-            full = slot_lines[latest].bit_count() == sizes[latest]
-            largest_seed = sizes[latest] if full else 0
-        seen_sizes: set[int] = set()
-        for slot in range(n_slots):
-            if slot_lines[slot]:
-                continue
-            size = sizes[slot]
-            if size in seen_sizes or size > largest_seed:
-                continue
-            seen_sizes.add(size)
-            if may_join(i, slot) and may_join(j, slot):
-                candidates.append(slot)
+            largest_seed = 0 if partial >> latest & 1 else sizes[latest]
+        for size in seed_sizes:
+            left = unseeded[size]
+            if left and size <= largest_seed and fits(i, size) and fits(j, size):
+                candidates.append(block_end[size] - left)  # the first empty slot of this size
 
         for slot in candidates:
             nodes += 1

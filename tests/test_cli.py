@@ -158,6 +158,11 @@ class TestFeasible:
         assert code == 0
         assert json.loads(out_file.read_text())["points"] == [[0, 1, 2]]
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "witness.json"
+        code, out, err = run(capsys, "feasible", "-d", "3", "-t", "0,1", "--out", str(out_file))
+        assert (code, out, err) == (2, "", f"error: cannot write {out_file}: No such file or directory\n")
+
 
 class TestRealize:
     def test_fano_over_f2(self, capsys, tmp_path):
@@ -169,6 +174,13 @@ class TestRealize:
         cert = json.loads(out_file.read_text())
         assert cert["field"] == {"kind": "prime", "p": 2}
         assert len(cert["lines"]) == 7
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "fano.json"
+        code, out, err = run(
+            capsys, "realize", "-d", "7", "-t", "0,7,0,0,0,0", "--field", "f2", "--out", str(out_file)
+        )
+        assert (code, out, err) == (2, "", f"error: cannot write {out_file}: No such file or directory\n")
 
     def test_fano_over_f3_exhausted(self, capsys):
         code, _, err = run(capsys, "realize", "-d", "7", "-t", "0,7,0,0,0,0", "--field", "f3")

@@ -307,18 +307,30 @@ def test_filters_are_necessary_conditions_for_feasibility():
                 assert not feasible_arrangement(vector).feasible, vector
 
 
-def test_absolute_exclusion_is_an_exhausted_search_up_to_nine_lines():
-    """Filter survival is combinatorial feasibility at d <= 9, a second proof of each exclusion.
+def test_absolute_exclusion_is_an_exhausted_search_up_to_ten_lines():
+    """Filter survival is combinatorial feasibility at d <= 10, a second proof of each exclusion.
 
-    CI runs the same check at d = 10.
+    The same sweep pins the incidence search: its node totals and a digest
+    of every verdict, node count and witness.
     """
     counted = Counter()
-    for d in range(2, 10):
+    nodes = Counter()
+    record = []
+    for d in range(2, 11):
         for vector in enumerate_tvectors(d):
             excluded = apply_all(vector, MODE_ABSOLUTE).is_excluded
-            assert excluded is not feasible_arrangement(vector).feasible, vector
+            outcome = feasible_arrangement(vector)
+            assert excluded is not outcome.feasible, vector
             counted[excluded] += 1
-    assert counted == {True: 146, False: 122}
+            nodes[d] += outcome.nodes_explored
+            witness = outcome.witness.to_json() if outcome.feasible else None
+            record.append([vector.encode(), outcome.feasible, outcome.nodes_explored, witness])
+    assert counted == {True: 335, False: 228}
+    assert sum(feasible for _, feasible, _, _ in record) == 228
+    assert sum(nodes[d] for d in range(2, 10)) == 33_874
+    assert nodes[10] == 493_180
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == "0ac801bd092923fea95d9fe8f67ebd3d7a5275a228bc906542f8ad2c8985ea14"
 
 
 def test_filters_pure_and_deterministic():
