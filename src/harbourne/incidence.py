@@ -196,7 +196,6 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
     for slot, size in enumerate(sizes):
         block_end[size] = slot + 1
         unseeded[size] += 1
-    seed_sizes = sorted(set(sizes), reverse=True)
     all_lines = (1 << d) - 1
     reachable = _representable_degrees(tv)
     max_deg = d - 1
@@ -327,9 +326,9 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
             # line 0's slots are consecutive blocks: seed one no larger, once the latest is full
             latest = line_slots[0][-1]
             largest_seed = 0 if partial >> latest & 1 else sizes[latest]
-        for size in seed_sizes:
+        for size in range(largest_seed, 1, -1):
             left = unseeded[size]
-            if left and size <= largest_seed and fits(i, size) and fits(j, size):
+            if left and fits(i, size) and fits(j, size):
                 candidates.append(block_end[size] - left)  # the first empty slot of this size
 
         for slot in candidates:
