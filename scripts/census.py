@@ -7,7 +7,9 @@ with its nodes and seconds, and the PG(2, p) realization outcome for
 p = 2, 3 (null where the plane has fewer than d lines).  Every search
 runs to the end.  Only the "seconds" values change from run to run, so
 two versions of the engine can be compared by diffing their output with
-those removed:
+those removed.  Versions before the PGL(3, p) frame in the realization
+search report larger realization "nodes" (their tree is bigger) and the
+same "found" and "exhausted":
 
     python3 scripts/census.py > census.jsonl
 """

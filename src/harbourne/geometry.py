@@ -11,7 +11,24 @@ forms.
 
 The F_p realization search runs on the integer incidence table of
 PG(2, p) and returns the residue triples of the lines it chose; callers
-wrap them in a :class:`Certificate` and verify it.
+wrap them in a :class:`Certificate` and verify it.  It rejects isomorphs
+with a PGL(3, p) frame (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26 (1998)) on its first two levels: depth 0 tries only
+line 0 (z = 0) and depth 1 only line 1 (y = 0).  PGL(3, p) acts
+transitively on ordered pairs of distinct lines, so any two lines of a
+configuration can be moved to lines 0 and 1.
+
+Soundness: a collineation maps a configuration to one with the same
+T-vector, and the image that holds lines 0 and 1 has them as its two
+smallest indices, so the restricted tree holds it.  An exhausted tree
+therefore proves that no configuration exists.
+
+Same witness as the unrestricted search: the histogram check prunes only
+subtrees that hold no configuration, so the search returns the
+lexicographically first index set with T.  Some configuration holds
+lines 0 and 1, so that set starts with 0, 1.  The restricted tree holds
+it and visits it first, so every hit is the one the unrestricted search
+finds; only the node counts are smaller.
 """
 
 from __future__ import annotations
@@ -35,7 +52,7 @@ from .exactnum import (
 )
 # DEFAULT_NODE_BUDGET stays bound here: the benchmark records geometry.DEFAULT_NODE_BUDGET
 from .incidence import DEFAULT_NODE_BUDGET, SearchBudgetExceeded, resolve_node_budget
-from .tspace import TVector
+from .tspace import TVector, require_solution
 
 
 class InvalidConfigurationError(ValueError):
@@ -93,6 +110,13 @@ def realize_over_prime_field(
 
     Candidate subsets are explored in lexicographic order of line indices
     with pruning whenever the partial multiplicity histogram exceeds T.
+    The first two levels try only the PGL(3, p) frame, line 0 and then
+    line 1.  Every configuration has an image under PGL(3, p) that holds
+    both, so the lexicographically first configuration starts with them:
+    the frame loses no configuration and returns the same lines as the
+    unrestricted search, in fewer nodes (the argument is in the module
+    docstring, after McKay 1998).  T must solve the pair-count identity
+    (``ValueError`` otherwise).
     It runs on the integer incidence table of PG(2, p), and a hit is
     returned as the chosen triples of :func:`_plane_residues` in index
     order; callers build a :class:`Certificate` from them and verify it.
@@ -102,6 +126,7 @@ def realize_over_prime_field(
     proves nothing.
     """
     budget = resolve_node_budget(node_budget)
+    require_solution(tv)
     lines = _plane_residues(p)
     d = tv.d
     if d > len(lines):
@@ -129,11 +154,16 @@ def realize_over_prime_field(
 
     def search(start: int) -> tuple[tuple[int, int, int], ...] | None:
         nonlocal nodes
-        if len(chosen) == d:
+        depth = len(chosen)
+        if depth == d:
             if tuple(hist[2 : d + 1]) == target:
                 return tuple(lines[i] for i in chosen)
             return None
-        for idx in range(start, len(lines) - (d - len(chosen)) + 1):
+        if depth < 2:  # the PGL(3, p) frame: depth 0 tries only line 0, depth 1 only line 1
+            stop = depth + 1
+        else:  # leave room for the lines still to choose
+            stop = len(lines) - (d - depth) + 1
+        for idx in range(start, stop):
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(nodes)

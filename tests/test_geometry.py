@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -31,7 +32,7 @@ from harbourne.geometry import (
     realize_over_prime_field,
     verify_certificate,
 )
-from harbourne.tspace import TVector
+from harbourne.tspace import TVector, enumerate_tvectors
 import normal_forms
 from normal_forms import (
     LineConfiguration,
@@ -235,7 +236,13 @@ class TestRealization:
     def test_fano_absent_from_f3(self):
         out = realize_over_prime_field(TVector.from_mapping(7, {3: 7}), 3)
         assert not out.found and out.exhausted
-        assert out.nodes == 1508
+        assert out.nodes == 312
+
+    @pytest.mark.parametrize("p, nodes", [(5, 13_031), (7, 121_022)])
+    def test_fano_absent_from_larger_odd_planes(self, p, nodes):
+        out = realize_over_prime_field(TVector.from_mapping(7, {3: 7}), p)
+        assert not out.found and out.exhausted
+        assert out.nodes == nodes
 
     def test_dual_hesse_found_in_f3(self):
         out = realize_over_prime_field(TVector.from_mapping(9, {3: 12}), 3)
@@ -256,6 +263,10 @@ class TestRealization:
         with pytest.raises(ValueError, match="node budget must be non-negative, got -3"):
             realize_over_prime_field(TVector.from_mapping(7, {3: 7}), 2, node_budget=-3)
 
+    def test_pair_count_violation_is_refused_before_searching(self):
+        with pytest.raises(ValueError, match="violates the pair-count identity"):
+            realize_over_prime_field(TVector(4, (1, 1, 0)), 3)
+
     def test_too_many_lines_rejected(self):
         with pytest.raises(ValueError):
             realize_over_prime_field(TVector.from_mapping(8, {2: 4, 3: 8}), 2)
@@ -265,6 +276,29 @@ class TestRealization:
         out = realize_over_prime_field(vector, 3)
         cert = Certificate("roundtrip", FieldDescriptor.prime(3), out.lines, vector)
         assert verify_certificate(cert).tvector == vector
+
+
+def test_frame_keeps_the_unrestricted_search_outcomes():
+    """The PGL(3, p) frame returns the same lines and verdicts as the plain subset search.
+
+    The digest of every (p, d, T, lines, exhausted) was computed with the
+    unrestricted search, which takes 9,506,516 nodes for these 249 calls.
+    """
+    record = []
+    nodes = 0
+    for p, max_d in ((2, 7), (3, 8), (5, 7)):
+        for d in range(2, max_d + 1):
+            for vector in enumerate_tvectors(d):
+                out = realize_over_prime_field(vector, p)
+                assert out.exhausted, (p, vector)
+                lines = out.lines and [list(line) for line in out.lines]
+                record.append([p, d, vector.encode(), lines, out.exhausted])
+                nodes += out.nodes
+    assert len(record) == 249
+    assert nodes == 382_445
+    assert sum(lines is not None for _, _, _, lines, _ in record) == 60
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == "cca87f257731242c3b79bb19570be00c21d21c6467e3a56929980a12236004d4"
 
 
 class TestCertificates:
