@@ -25,9 +25,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from harbourne.criteria import MODES, apply_all
 from harbourne.geometry import realize_over_prime_field
 from harbourne.incidence import feasible_arrangement
+from harbourne.pipeline import DEFAULT_FIELDS
 from harbourne.tspace import enumerate_tvectors
-
-FIELDS = (2, 3)
 
 
 def incidence_record(tv):
@@ -61,7 +60,7 @@ def main() -> int:
                 "t": tv.encode(),
                 "criterion": {mode: apply_all(tv, mode).criterion for mode in MODES},
                 "incidence": incidence_record(tv),
-                "realization": {f"f{p}": realization_record(tv, p) for p in FIELDS},
+                "realization": {f"f{p}": realization_record(tv, p) for p in DEFAULT_FIELDS},
             }
             print(json.dumps(record))
     return 0

@@ -13,7 +13,7 @@ from .geometry import (
 )
 from .incidence import CliquePartition, SearchOutcome, feasible_arrangement, validate_partition
 from .pipeline import builtin_certificates, classify_candidate, compute_table
-from .tspace import TVector, check_combinatorial_identity, enumerate_tvectors
+from .tspace import TVector, enumerate_tvectors
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "TVector",
     "apply_all",
     "builtin_certificates",
-    "check_combinatorial_identity",
     "classify_candidate",
     "compute_table",
     "enumerate_tvectors",

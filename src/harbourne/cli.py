@@ -307,7 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="reproduce the Harbourne constant table")
     p_table.add_argument("--max-d", type=int, default=10, dest="max_d")
     p_table.add_argument("--mode", choices=criteria.MODES, default=criteria.MODE_ABSOLUTE)
-    p_table.add_argument("--fields", default="2,3", help="primes searched in absolute mode")
+    p_table.add_argument(
+        "--fields",
+        default=",".join(map(str, pipeline.DEFAULT_FIELDS)),
+        help="primes searched in absolute mode",
+    )
     p_table.add_argument("--audit", action="store_true", help="print per-candidate dispositions")
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_table.add_argument("--budget", type=int, help="node budget (default 10^9)")

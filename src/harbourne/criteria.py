@@ -65,14 +65,6 @@ class ExclusionVerdict(Value):
         return {"status": self.status, "criterion": self.criterion, "detail": self.detail}
 
 
-def _passed(detail: str = "ok") -> ExclusionVerdict:
-    return ExclusionVerdict(None, detail)
-
-
-def _excluded(criterion: str, detail: str) -> ExclusionVerdict:
-    return ExclusionVerdict(criterion, detail)
-
-
 def multiplicity_sum_filter(tv: TVector) -> ExclusionVerdict:
     """Check sum of the r largest multiplicities <= d + C(r,2) for every r.
 
@@ -88,11 +80,11 @@ def multiplicity_sum_filter(tv: TVector) -> ExclusionVerdict:
         bound = tv.d + comb(r, 2)
         if running > bound:
             top = "+".join(str(x) for x in mults[:r])
-            return _excluded(
+            return ExclusionVerdict(
                 "multiplicity_sum",
                 f"r={r}: {top} = {running} > {bound} = d + C({r},2)",
             )
-    return _passed()
+    return ExclusionVerdict(None, "ok")
 
 
 def two_pencils_filter(tv: TVector) -> ExclusionVerdict:
@@ -106,42 +98,33 @@ def two_pencils_filter(tv: TVector) -> ExclusionVerdict:
     """
     require_solution(tv)
     if tv.s < 2:
-        return _passed("fewer than two singular points")
+        return ExclusionVerdict(None, "fewer than two singular points")
     mults = tv.multiplicities()
     m1, m2 = mults[0], mults[1]
     needed = (m1 - 1) * (m2 - 1) + 2
     if needed > tv.s:
-        return _excluded(
+        return ExclusionVerdict(
             "two_pencils",
             f"(m1-1)(m2-1)+2 = ({m1}-1)({m2}-1)+2 = {needed} > s = {tv.s}",
         )
-    return _passed()
+    return ExclusionVerdict(None, "ok")
 
 
-def enumerate_line_profiles(tv: TVector) -> list[tuple[int, ...]]:
-    """All admissible per-line profiles for this T-vector.
+def _line_profiles(tv: TVector) -> tuple[list[int], list[tuple[int, ...]]]:
+    """(ks, counts): the multiplicities present in T, descending, and the admissible profiles.
 
-    A profile lists the multiplicities of the singular points on one line,
-    in descending order.  Parts are multiplicities m >= 2 with t_m > 0; a
-    line meets at most t_m points of multiplicity m, and since each m
-    counts the line itself, the parts satisfy sum (m-1) = d-1.
+    A profile lists the multiplicities of the singular points on one line;
+    ``counts[i][a]`` is how often ``ks[a]`` occurs in profile i.  Parts are
+    multiplicities m >= 2 with t_m > 0; a line meets at most t_m points of
+    multiplicity m, and since each m counts the line itself, the parts
+    satisfy sum (m-1) = d-1.
     """
-    return _line_profiles(tv)[1]
-
-
-def _line_profiles(tv: TVector) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """(ks, profiles, counts): the multiplicities present in T, descending, the
-    admissible profiles, and counts[i][a], how often ks[a] occurs in profiles[i]."""
     ks = [k for k in range(tv.d, 1, -1) if tv.t(k) > 0]
-    target = tv.d - 1
-    profiles: list[tuple[int, ...]] = []
     counts: list[tuple[int, ...]] = []
-    parts: list[int] = []
     per_class = [0] * len(ks)  # every loop below ends at count 0, so deeper entries are 0
 
     def descend(idx: int, remaining: int) -> None:
         if remaining == 0:
-            profiles.append(tuple(parts))
             counts.append(tuple(per_class))
             return
         if idx == len(ks):
@@ -149,14 +132,17 @@ def _line_profiles(tv: TVector) -> tuple[list[int], list[tuple[int, ...]], list[
         k = ks[idx]
         max_count = min(tv.t(k), remaining // (k - 1))
         for count in range(max_count, -1, -1):
-            parts.extend([k] * count)
             per_class[idx] = count
             descend(idx + 1, remaining - count * (k - 1))
-            del parts[len(parts) - count :]
 
-    descend(0, target)
+    descend(0, tv.d - 1)
     del descend  # it refers to itself, so only the cyclic GC would free it and its state
-    return ks, profiles, counts
+    return ks, counts
+
+
+def _shape(ks: list[int], vec: tuple[int, ...]) -> str:
+    """The profile with count vector ``vec`` over ``ks``, descending, e.g. "{4,3,3}"."""
+    return "{" + ",".join(str(k) for k, c in zip(ks, vec) for _ in range(c)) + "}"
 
 
 def _profile_mix(tv: TVector, ks: list[int], counts: list[tuple[int, ...]]) -> tuple[int, ...] | None:
@@ -256,31 +242,27 @@ def parity_profile_filter(tv: TVector) -> ExclusionVerdict:
     points collect exactly k * t_k incidences for every k.
     """
     require_solution(tv)
-    ks, profiles, counts = _line_profiles(tv)
-    return _parity_verdict(tv, ks, profiles, _profile_mix(tv, ks, counts))
+    ks, counts = _line_profiles(tv)
+    return _parity_verdict(tv, ks, counts, _profile_mix(tv, ks, counts))
 
 
 def _parity_verdict(
-    tv: TVector, ks: list[int], profiles: list[tuple[int, ...]], mix: tuple[int, ...] | None
+    tv: TVector, ks: list[int], counts: list[tuple[int, ...]], mix: tuple[int, ...] | None
 ) -> ExclusionVerdict:
-    if not profiles:
-        return _excluded(
+    if not counts:
+        return ExclusionVerdict(
             "parity_profile",
             f"d-1 = {tv.d - 1} is not a sum of parts (m-1) for m in {sorted(ks)} "
             f"with at most t_m parts of each size",
         )
     if mix is None:
-        shapes = ", ".join(_shape(p) for p in profiles)
-        return _excluded(
+        shapes = ", ".join(_shape(ks, vec) for vec in counts)
+        return ExclusionVerdict(
             "parity_profile",
-            f"no assignment of the {len(profiles)} admissible line profiles [{shapes}] "
+            f"no assignment of the {len(counts)} admissible line profiles [{shapes}] "
             f"to {tv.d} lines meets the incidence totals k*t_k",
         )
-    return _passed()
-
-
-def _shape(profile: tuple[int, ...]) -> str:
-    return "{" + ",".join(map(str, profile)) + "}"
+    return ExclusionVerdict(None, "ok")
 
 
 def point_pairs_filter(tv: TVector) -> ExclusionVerdict:
@@ -305,35 +287,32 @@ def point_pairs_filter(tv: TVector) -> ExclusionVerdict:
     :func:`parity_profile_filter`'s).
     """
     require_solution(tv)
-    ks, profiles, counts = _line_profiles(tv)
-    return _point_pairs_verdict(tv, ks, profiles, counts, _profile_mix(tv, ks, counts))
+    ks, counts = _line_profiles(tv)
+    return _point_pairs_verdict(tv, ks, counts, _profile_mix(tv, ks, counts))
 
 
 def _point_pairs_verdict(
-    tv: TVector,
-    ks: list[int],
-    profiles: list[tuple[int, ...]],
-    counts: list[tuple[int, ...]],
-    first: tuple[int, ...] | None,
+    tv: TVector, ks: list[int], counts: list[tuple[int, ...]], first: tuple[int, ...] | None
 ) -> ExclusionVerdict:
     if first is None:
-        return _passed("inapplicable: no line-profile mix meets the incidence totals")
+        return ExclusionVerdict(None, "inapplicable: no line-profile mix meets the incidence totals")
     budgets = _pair_budgets(tv, ks)
-    used = [(x, p, _pair_use(vec, budgets)) for x, p, vec in zip(first, profiles, counts) if x]
+    used = [(x, vec, _pair_use(vec, budgets)) for x, vec in zip(first, counts) if x]
     spent = [sum(x * use[i] for x, _, use in used) for i in range(len(budgets))]
     overdrawn = [i for i, (need, (_, _, cap)) in enumerate(zip(spent, budgets)) if need > cap]
     if not overdrawn:
-        return _passed()
+        return ExclusionVerdict(None, "ok")
     totals = tuple(k * tv.t(k) for k in ks) + tuple(cap for _, _, cap in budgets)
     joined = [vec + _pair_use(vec, budgets) for vec in counts]
     if _first_mix(tv.d, joined, totals, len(ks)) is not None:
-        return _passed()
+        return ExclusionVerdict(None, "ok")
     # name the first budget the first mix overdraws
     i = overdrawn[0]
     a, b, cap = budgets[i]
-    spenders = [(x, p, use[i]) for x, p, use in used if use[i]]
+    spenders = [(x, vec, use[i]) for x, vec, use in used if use[i]]
     lines = " + ".join(
-        f"{x} x {_shape(p)}" + (f" ({x * u})" if len(spenders) > 1 else "") for x, p, u in spenders
+        f"{x} x {_shape(ks, vec)}" + (f" ({x * u})" if len(spenders) > 1 else "")
+        for x, vec, u in spenders
     )
     j, k = ks[b], ks[a]  # ks is descending
     if j == k:
@@ -341,7 +320,7 @@ def _point_pairs_verdict(
     else:
         what = f"pairs of a {j}-fold and a {k}-fold point"
         available = f"{tv.t(j)}*{tv.t(k)} = {cap}"
-    return _excluded(
+    return ExclusionVerdict(
         "point_pairs",
         f"no line-profile mix fits the point-pair budgets; in the first, "
         f"{lines} need {spent[i]} {what}, but only {available} exist",
@@ -368,17 +347,17 @@ def hirzebruch_filter(tv: TVector) -> ExclusionVerdict:
     """
     require_solution(tv)
     if tv.d < 6:
-        return _passed("inapplicable: d < 6")
+        return ExclusionVerdict(None, "inapplicable: d < 6")
     if tv.t(tv.d) != 0 or tv.t(tv.d - 1) != 0 or tv.t(tv.d - 2) != 0:
-        return _passed("inapplicable: t_d, t_{d-1} or t_{d-2} is nonzero")
+        return ExclusionVerdict(None, "inapplicable: t_d, t_{d-1} or t_{d-2} is nonzero")
     lhs = Fraction(tv.t(2)) + Fraction(3, 4) * tv.t(3)
     rhs = tv.d + sum((k - 4) * tv.t(k) for k in range(5, tv.d + 1))
     if lhs < rhs:
-        return _excluded(
+        return ExclusionVerdict(
             "hirzebruch",
             f"t2 + (3/4) t3 = {lhs} < {rhs} = d + sum_(k>=5) (k-4) t_k",
         )
-    return _passed()
+    return ExclusionVerdict(None, "ok")
 
 
 def apply_all(tv: TVector, mode: str) -> ExclusionVerdict:
@@ -397,11 +376,11 @@ def apply_all(tv: TVector, mode: str) -> ExclusionVerdict:
         verdict = f(tv)
         if verdict.is_excluded:
             return verdict
-    ks, profiles, counts = _line_profiles(tv)
+    ks, counts = _line_profiles(tv)
     first = _profile_mix(tv, ks, counts)
-    verdict = _parity_verdict(tv, ks, profiles, first)
+    verdict = _parity_verdict(tv, ks, counts, first)
     if not verdict.is_excluded and mode == MODE_COMPLEX:
         verdict = hirzebruch_filter(tv)
     if not verdict.is_excluded:
-        verdict = _point_pairs_verdict(tv, ks, profiles, counts, first)
-    return verdict if verdict.is_excluded else _passed("all filters passed")
+        verdict = _point_pairs_verdict(tv, ks, counts, first)
+    return verdict if verdict.is_excluded else ExclusionVerdict(None, "all filters passed")

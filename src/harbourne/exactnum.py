@@ -3,7 +3,7 @@
 A certificate's coordinates lie in Q (``fractions.Fraction``), in F_p for
 p in {2, 3, 5, 7, 11, 13} (``PrimeFieldElement``) or in Q(w), a + b*w
 with w^2 = -1 - w (``EisensteinRational``).  The two classes only hold
-values: they compare, hash and print, and define no arithmetic; the
+values: they compare and hash, and define no arithmetic; the
 verifier computes on cleared integers over Z, Z[w] and Z/p instead.
 
 ``scalar_from_json`` is the one parser, and ``Certificate`` runs it on
@@ -89,9 +89,6 @@ class PrimeFieldElement(Value):
         object.__setattr__(self, "residue", residue % p)
         object.__setattr__(self, "p", p)
 
-    def __str__(self) -> str:
-        return f"{self.residue} (mod {self.p})"
-
 
 class EisensteinRational(Value):
     """a + b*w with w a primitive cube root of unity, over the rationals."""
@@ -101,9 +98,6 @@ class EisensteinRational(Value):
     def __init__(self, a: Fraction, b: Fraction) -> None:
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
-
-    def __str__(self) -> str:
-        return f"{self.a} + {self.b}w"
 
 
 ExactScalar = Fraction | PrimeFieldElement | EisensteinRational

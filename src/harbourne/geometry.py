@@ -52,7 +52,7 @@ from .exactnum import (
 )
 # DEFAULT_NODE_BUDGET stays bound here: the benchmark records geometry.DEFAULT_NODE_BUDGET
 from .incidence import DEFAULT_NODE_BUDGET, SearchBudgetExceeded, resolve_node_budget
-from .tspace import TVector, require_solution
+from .tspace import TVector, quotient_fraction, require_solution
 
 
 class InvalidConfigurationError(ValueError):
@@ -138,7 +138,6 @@ def realize_over_prime_field(
     for k in range(d, 1, -1):
         suffix_quota[k] = suffix_quota[k + 1] + tv.t(k)
 
-    target = tuple(tv.counts)
     chosen: list[int] = []
     on = [0] * len(lines)  # on[pt] = number of chosen lines through point pt
     hist = [len(lines)] + [0] * d  # hist[m] = number of points on exactly m chosen lines
@@ -156,9 +155,8 @@ def realize_over_prime_field(
         nonlocal nodes
         depth = len(chosen)
         if depth == d:
-            if tuple(hist[2 : d + 1]) == target:
-                return tuple(lines[i] for i in chosen)
-            return None
+            # hist meets histogram_ok, and sum C(k,2) hist[k] = C(d,2) = sum C(k,2) t_k: hist is T
+            return tuple(lines[i] for i in chosen)
         if depth < 2:  # the PGL(3, p) frame: depth 0 tries only line 0, depth 1 only line 1
             stop = depth + 1
         else:  # leave room for the lines still to choose
@@ -383,5 +381,4 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             f"certificate {cert.label!r} claims T=({cert.claimed_tvector.encode()}) "
             f"but verification computed T=({tv.encode()})"
         )
-    value = Fraction(d * d - sum(m * m for m in mults), len(mults))
-    return VerificationReport(tv, value, d, len(mults))
+    return VerificationReport(tv, quotient_fraction(tv), d, len(mults))

@@ -25,7 +25,6 @@ from ._value import Value
 from .exactnum import EISENSTEIN, PRIME, RATIONAL, FieldDescriptor
 from .geometry import (
     Certificate,
-    VerificationReport,
     _plane_residues,
     realize_over_prime_field,
     verify_certificate,
@@ -118,13 +117,11 @@ class CertificateDatabase:
 
     def __init__(self, certificates: list[Certificate]):
         self.certificates: dict[str, Certificate] = {}
-        self.reports: dict[str, VerificationReport] = {}
         self._by_tvector: dict[TVector, list[Certificate]] = {}  # each list in DB order
         for cert in certificates:
             if cert.label in self.certificates:
                 raise ValueError(f"duplicate certificate label {cert.label!r}")
             report = verify_certificate(cert)
-            self.reports[cert.label] = report
             self.certificates[cert.label] = cert
             self._by_tvector.setdefault(report.tvector, []).append(cert)
 

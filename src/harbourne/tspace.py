@@ -32,7 +32,8 @@ class TVector(Value):
 
     ``counts[i]`` holds t_{i+2}.  Construction only checks shape and
     non-negativity; whether the pair-count identity holds is a separate
-    question answered by :func:`check_combinatorial_identity`.
+    question answered by :func:`identity_imbalance`, and
+    :func:`require_solution` enforces it.
     """
 
     __slots__ = ("d", "counts")
@@ -87,11 +88,6 @@ class TVector(Value):
 
     def __str__(self) -> str:
         return f"d={self.d}:({self.encode()})"
-
-
-def check_combinatorial_identity(tv: TVector) -> bool:
-    """True iff sum t_k * C(k,2) equals C(d,2)."""
-    return identity_imbalance(tv) == 0
 
 
 def identity_imbalance(tv: TVector) -> int:

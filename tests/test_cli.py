@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -360,3 +361,20 @@ class TestTable:
         _, first, _ = run(capsys, "table", "--max-d", "6", "--audit", "--format", "json")
         _, second, _ = run(capsys, "table", "--max-d", "6", "--audit", "--format", "json")
         assert first == second
+
+    @pytest.mark.parametrize(
+        "mode, fmt, digest",
+        [
+            ("absolute", "json", "b968b3b9219483b78c3204ce4e6acdb348fc26e824711a382e2af5c9e27e7c13"),
+            ("complex", "json", "91ded3e8e7355f6b26b830d7eaa5df062c2429be0db46698439eb0c6f729c18e"),
+            ("absolute", "text", "74179c9fb5a4a7c83cdc294b0335723970032a95aeeba42338c26cc28a1ece83"),
+            ("complex", "text", "876f6169b1c1cac81fca5972520c3ceb0b98bdca1ed5850cdc524462c3655121"),
+        ],
+    )
+    def test_full_audit_bytes_are_pinned(self, capsys, monkeypatch, mode, fmt, digest):
+        monkeypatch.delenv("HARB_NODE_BUDGET", raising=False)
+        code, out, err = run(
+            capsys, "table", "--max-d", "10", "--mode", mode, "--audit", "--format", fmt
+        )
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

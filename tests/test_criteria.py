@@ -10,8 +10,8 @@ from harbourne.criteria import (
     MODES,
     _line_profiles,
     _profile_mix,
+    _shape,
     apply_all,
-    enumerate_line_profiles,
     hirzebruch_filter,
     multiplicity_sum_filter,
     parity_profile_filter,
@@ -24,6 +24,11 @@ from harbourne.tspace import TVector, enumerate_tvectors
 
 def tv(d, counts):
     return TVector.from_mapping(d, counts)
+
+
+def shapes(vector):
+    ks, counts = _line_profiles(vector)
+    return [_shape(ks, vec) for vec in counts]
 
 
 class TestMultiplicitySum:
@@ -73,12 +78,11 @@ class TestParityProfile:
 
     def test_profiles_respect_point_counts(self):
         # only one 4-fold point exists, so no line can cross two of them
-        profiles = enumerate_line_profiles(tv(9, {3: 10, 4: 1}))
-        assert all(p.count(4) <= 1 for p in profiles)
+        profiles = shapes(tv(9, {3: 10, 4: 1}))
+        assert profiles and all(p.count("4") <= 1 for p in profiles)
 
     def test_fano_profile_is_three_triples(self):
-        profiles = enumerate_line_profiles(tv(7, {3: 7}))
-        assert profiles == [(3, 3, 3)]
+        assert shapes(tv(7, {3: 7})) == ["{3,3,3}"]
 
 
 class TestHirzebruch:
@@ -146,9 +150,8 @@ class TestPointPairs:
         # the first mix puts {3,3,2} on four lines, which needs 4 of the
         # C(3,2) = 3 pairs of triple points; the filter must search on
         vector = tv(6, {2: 6, 3: 3})
-        profiles = enumerate_line_profiles(vector)
-        assert profiles == [(3, 3, 2), (3, 2, 2, 2), (2, 2, 2, 2, 2)]
-        ks, _, counts = _line_profiles(vector)
+        assert shapes(vector) == ["{3,3,2}", "{3,2,2,2}", "{2,2,2,2,2}"]
+        ks, counts = _line_profiles(vector)
         assert _profile_mix(vector, ks, counts) == (4, 1, 1)
         assert not point_pairs_filter(vector).is_excluded
         assert feasible_arrangement(vector).feasible
@@ -297,6 +300,18 @@ class TestApplyAll:
         assert data["status"] == "excluded"
         assert data["criterion"] == "multiplicity_sum"
         assert data["detail"]
+
+
+def test_standalone_profile_filters_up_to_ten_lines_are_pinned():
+    """Each profile filter called alone, with its pass details ("inapplicable: ...")."""
+    verdicts = [
+        [d, vector.encode(), parity_profile_filter(vector).to_json(), point_pairs_filter(vector).to_json()]
+        for d in range(2, 11)
+        for vector in enumerate_tvectors(d)
+    ]
+    assert len(verdicts) == 563
+    digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+    assert digest == "4a93bb13825498be0c8c1785c3fe25627e818a7ef23244af5eabe57cfecc7e15"
 
 
 def test_filters_are_necessary_conditions_for_feasibility():
