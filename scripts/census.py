@@ -7,9 +7,10 @@ with its nodes and seconds, and the PG(2, p) realization outcome for
 p = 2, 3 (null where the plane has fewer than d lines).  Every search
 runs to the end.  Only the "seconds" values change from run to run, so
 two versions of the engine can be compared by diffing their output with
-those removed.  Versions before the PGL(3, p) frame in the realization
-search report larger realization "nodes" (their tree is bigger) and the
-same "found" and "exhausted":
+those removed.  Each level added to the PGL(3, p) frame of the
+realization search (two levels, then three) shrinks its tree, so older
+versions report larger realization "nodes" and the same "found" and
+"exhausted":
 
     python3 scripts/census.py > census.jsonl
 """
@@ -37,10 +38,9 @@ def incidence_record(tv):
 
 
 def realization_record(tv, p):
-    try:
-        outcome = realize_over_prime_field(tv, p)
-    except ValueError:  # more lines than PG(2, p) has
+    if tv.d > p * p + p + 1:  # more lines than PG(2, p) has
         return None
+    outcome = realize_over_prime_field(tv, p)
     return {"found": outcome.found, "exhausted": outcome.exhausted, "nodes": outcome.nodes}
 
 

@@ -13,22 +13,25 @@ The F_p realization search runs on the integer incidence table of
 PG(2, p) and returns the residue triples of the lines it chose; callers
 wrap them in a :class:`Certificate` and verify it.  It rejects isomorphs
 with a PGL(3, p) frame (McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 26 (1998)) on its first two levels: depth 0 tries only
-line 0 (z = 0) and depth 1 only line 1 (y = 0).  PGL(3, p) acts
-transitively on ordered pairs of distinct lines, so any two lines of a
-configuration can be moved to lines 0 and 1.
+J. Algorithms 26 (1998)): depth 0 tries only line 0 (z = 0), depth 1
+only line 1 (y = 0), and depth 2 only line 2 (y + z = 0), the first of
+the p - 1 other lines through their meet (1:0:0), and line p + 1 (x = 0),
+the first of the p^2 lines off it.
 
-Soundness: a collineation maps a configuration to one with the same
-T-vector, and the image that holds lines 0 and 1 has them as its two
-smallest indices, so the restricted tree holds it.  An exhausted tree
-therefore proves that no configuration exists.
-
-Same witness as the unrestricted search: the histogram check prunes only
-subtrees that hold no configuration, so the search returns the
-lexicographically first index set with T.  Some configuration holds
-lines 0 and 1, so that set starts with 0, 1.  The restricted tree holds
-it and visits it first, so every hit is the one the unrestricted search
-finds; only the node counts are smaller.
+Soundness, with the same witness: the multiplicity check prunes only
+subtrees that hold no configuration, so the unrestricted search returns
+the lexicographically first index set C with T, and the restricted tree,
+a subtree visited in the same order, returns C if it holds C.  A
+collineation keeps T, and PGL(3, p) is transitive on ordered pairs of
+lines, so C starts 0, 1.  The stabilizer of lines 0 and 1 fixes their
+meet and is transitive on the other lines through it, by z -> lambda z,
+and on the lines off it, by the shears x -> x + beta y + gamma z.  If C
+has a line through the meet besides lines 0 and 1, mapping it to line 2
+gives a configuration starting 0, 1, 2, so C's third index is 2.
+Otherwise no index of C lies in 2..p; a shear fixes every line through
+the meet, so one mapping C's third line to line p + 1 gives one starting
+0, 1, p + 1, and that index is p + 1.  An exhausted tree thus proves
+that no configuration exists, and a hit is the unrestricted search's.
 """
 
 from __future__ import annotations
@@ -108,15 +111,15 @@ def realize_over_prime_field(
 ) -> RealizationOutcome:
     """Exhaustively search PG(2, p) for a d-line configuration with T-vector T.
 
-    Candidate subsets are explored in lexicographic order of line indices
-    with pruning whenever the partial multiplicity histogram exceeds T.
-    The first two levels try only the PGL(3, p) frame, line 0 and then
-    line 1.  Every configuration has an image under PGL(3, p) that holds
-    both, so the lexicographically first configuration starts with them:
-    the frame loses no configuration and returns the same lines as the
-    unrestricted search, in fewer nodes (the argument is in the module
-    docstring, after McKay 1998).  T must solve the pair-count identity
-    (``ValueError`` otherwise).
+    Candidate subsets are explored in lexicographic order of line indices.
+    A line is pruned when more points then lie on at least m chosen lines
+    than T allows, for some m >= 2; adding it moves only its p + 1 points
+    up by one, so the check is O(p) per node.  Depths 0, 1 and 2 try only
+    the PGL(3, p) frame: line 0, line 1, then line 2 or line p + 1, since
+    the lexicographically first configuration starts 0, 1, 2 if it has a
+    third line through the meet of lines 0 and 1, and 0, 1, p + 1 if not
+    (module docstring, after McKay 1998).  So the lines found are those of
+    the unrestricted search.  T must solve the pair-count identity.
     It runs on the integer incidence table of PG(2, p), and a hit is
     returned as the chosen triples of :func:`_plane_residues` in index
     order; callers build a :class:`Certificate` from them and verify it.
@@ -133,53 +136,50 @@ def realize_over_prime_field(
         raise ValueError(f"cannot pick {d} distinct lines in PG(2,{p}) ({len(lines)} lines)")
     rows = _plane_incidence(p)
 
-    # suffix_quota[k] = number of points of multiplicity >= k that T allows
-    suffix_quota = [0] * (d + 2)
-    for k in range(d, 1, -1):
-        suffix_quota[k] = suffix_quota[k + 1] + tv.t(k)
+    quota = [0, len(lines)] + [0] * d  # quota[m] = points on >= m chosen lines that T allows
+    for m in range(d, 1, -1):
+        quota[m] = quota[m + 1] + tv.t(m)
 
     chosen: list[int] = []
     on = [0] * len(lines)  # on[pt] = number of chosen lines through point pt
-    hist = [len(lines)] + [0] * d  # hist[m] = number of points on exactly m chosen lines
+    ge = [0] * (d + 1)  # ge[m] = number of points on >= m chosen lines, for m >= 1
     nodes = 0
-
-    def histogram_ok() -> bool:
-        ge = 0
-        for k in range(d, 1, -1):
-            ge += hist[k]
-            if ge > suffix_quota[k]:
-                return False
-        return True
 
     def search(start: int) -> tuple[tuple[int, int, int], ...] | None:
         nonlocal nodes
         depth = len(chosen)
         if depth == d:
-            # hist meets histogram_ok, and sum C(k,2) hist[k] = C(d,2) = sum C(k,2) t_k: hist is T
+            # ge[m] <= quota[m] and sum (m-1) ge[m] = C(d,2) = sum (m-1) quota[m] (m >= 2): ge = quota
             return tuple(lines[i] for i in chosen)
-        if depth < 2:  # the PGL(3, p) frame: depth 0 tries only line 0, depth 1 only line 1
-            stop = depth + 1
-        else:  # leave room for the lines still to choose
-            stop = len(lines) - (d - depth) + 1
-        for idx in range(start, stop):
+        last = len(lines) - (d - depth)  # leave room for the lines still to choose
+        if depth < 2:  # the PGL(3, p) frame: depth 0 tries only line 0, depth 1 only line 1,
+            candidates = (depth,)
+        elif depth == 2:  # and depth 2 the first line of each orbit of their stabilizer
+            candidates = [idx for idx in (2, p + 1) if idx <= last]
+        else:
+            candidates = range(start, last + 1)
+        for idx in candidates:
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(nodes)
             row = rows[idx]
+            fits = True  # each point of the line moves from m - 1 to m chosen lines
             for pt in row:
-                hist[on[pt]] -= 1
-                on[pt] += 1
-                hist[on[pt]] += 1
+                m = on[pt] + 1
+                on[pt] = m
+                ge[m] += 1
+                if ge[m] > quota[m]:
+                    fits = False
             chosen.append(idx)
-            if histogram_ok():
+            if fits:
                 result = search(idx + 1)
                 if result is not None:
                     return result
             chosen.pop()
-            for pt in reversed(row):
-                hist[on[pt]] -= 1
-                on[pt] -= 1
-                hist[on[pt]] += 1
+            for pt in row:
+                m = on[pt]
+                ge[m] -= 1
+                on[pt] = m - 1
         return None
 
     try:

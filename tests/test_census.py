@@ -33,6 +33,16 @@ def test_one_line_per_tvector_up_to_six_lines():
             assert not outcome["found"] or search["feasible"]
 
 
+def test_realization_is_null_only_where_the_plane_has_too_few_lines():
+    result = census("--max-d", "8")
+    assert result.returncode == 0, result.stderr
+    for record in map(json.loads, result.stdout.splitlines()):
+        outcomes = record["realization"]
+        # PG(2, 2) has 7 lines and PG(2, 3) has 13
+        assert (outcomes["f2"] is None) is (record["d"] > 7)
+        assert outcomes["f3"] is not None and outcomes["f3"]["exhausted"]
+
+
 def test_bad_max_d_is_a_usage_error():
     result = census("--max-d", "11")
     assert result.returncode == 2

@@ -236,9 +236,9 @@ class TestRealization:
     def test_fano_absent_from_f3(self):
         out = realize_over_prime_field(TVector.from_mapping(7, {3: 7}), 3)
         assert not out.found and out.exhausted
-        assert out.nodes == 312
+        assert out.nodes == 155
 
-    @pytest.mark.parametrize("p, nodes", [(5, 13_031), (7, 121_022)])
+    @pytest.mark.parametrize("p, nodes", [(5, 2_866), (7, 16_453)])
     def test_fano_absent_from_larger_odd_planes(self, p, nodes):
         out = realize_over_prime_field(TVector.from_mapping(7, {3: 7}), p)
         assert not out.found and out.exhausted
@@ -278,27 +278,68 @@ class TestRealization:
         assert verify_certificate(cert).tvector == vector
 
 
+def _realization_sweep(planes):
+    """Realize every T-vector of each (p, d) in ``planes`` with no budget.
+
+    Returns the digest of every (p, d, T, lines, exhausted), the number of
+    calls, the number of configurations found and the total node count.
+    """
+    record = []
+    nodes = 0
+    for p, d in planes:
+        for vector in enumerate_tvectors(d):
+            out = realize_over_prime_field(vector, p)
+            assert out.exhausted, (p, vector)
+            lines = out.lines and [list(line) for line in out.lines]
+            record.append([p, d, vector.encode(), lines, out.exhausted])
+            nodes += out.nodes
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    found = sum(lines is not None for _, _, _, lines, _ in record)
+    return digest, len(record), found, nodes
+
+
 def test_frame_keeps_the_unrestricted_search_outcomes():
     """The PGL(3, p) frame returns the same lines and verdicts as the plain subset search.
 
     The digest of every (p, d, T, lines, exhausted) was computed with the
     unrestricted search, which takes 9,506,516 nodes for these 249 calls.
     """
-    record = []
-    nodes = 0
-    for p, max_d in ((2, 7), (3, 8), (5, 7)):
-        for d in range(2, max_d + 1):
-            for vector in enumerate_tvectors(d):
-                out = realize_over_prime_field(vector, p)
-                assert out.exhausted, (p, vector)
-                lines = out.lines and [list(line) for line in out.lines]
-                record.append([p, d, vector.encode(), lines, out.exhausted])
-                nodes += out.nodes
-    assert len(record) == 249
-    assert nodes == 382_445
-    assert sum(lines is not None for _, _, _, lines, _ in record) == 60
-    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
-    assert digest == "cca87f257731242c3b79bb19570be00c21d21c6467e3a56929980a12236004d4"
+    planes = [(p, d) for p, max_d in ((2, 7), (3, 8), (5, 7)) for d in range(2, max_d + 1)]
+    assert _realization_sweep(planes) == (
+        "cca87f257731242c3b79bb19570be00c21d21c6467e3a56929980a12236004d4", 249, 60, 113_566
+    )
+
+
+def test_frame_keeps_the_two_level_frame_outcomes_over_f3_at_nine_and_ten_lines():
+    """The third frame level returns the same lines and verdicts as the first two alone.
+
+    The digest was computed with the two-level frame, which takes 96,326
+    nodes for these 436 calls.
+    """
+    assert _realization_sweep([(3, 9), (3, 10)]) == (
+        "e9574958ce2401ca2bd785674e1b8358fc5603b6ce88dbf0b083a9bc95e0bf70", 436, 5, 67_153
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_frame_third_line_is_the_first_of_its_stabilizer_orbit(p):
+    """Depth 2 tries line 2, through the meet of lines 0 and 1, or line p + 1, off it."""
+    index = {line: i for i, line in enumerate(_plane_residues(p))}
+    through_meet = realize_over_prime_field(TVector(4, (3, 1, 0)), p)
+    assert [index[line] for line in through_meet.lines][:3] == [0, 1, 2]
+    general_position = realize_over_prime_field(TVector(4, (6, 0, 0)), p)
+    assert [index[line] for line in general_position.lines][:3] == [0, 1, p + 1]
+
+
+@pytest.mark.parametrize(
+    "t, nodes",
+    [((3, 4, 1, 0, 0, 0), 114_118), ((6, 1, 2, 0, 0, 0), 185_437), ((5, 2, 0, 1, 0, 0), 122_612)],
+)
+def test_seven_lines_over_f7_are_decided_within_budget(t, nodes):
+    """The two-level frame runs out of a 300k budget on each of these."""
+    out = realize_over_prime_field(TVector(7, t), 7, node_budget=300_000)
+    assert not out.found and out.exhausted
+    assert out.nodes == nodes
 
 
 class TestCertificates:
