@@ -7,10 +7,11 @@ with its nodes and seconds, and the PG(2, p) realization outcome for
 p = 2, 3 (null where the plane has fewer than d lines).  Every search
 runs to the end.  Only the "seconds" values change from run to run, so
 two versions of the engine can be compared by diffing their output with
-those removed.  Each level added to the PGL(3, p) frame of the
-realization search (two levels, then three) shrinks its tree, so older
-versions report larger realization "nodes" and the same "found" and
-"exhausted":
+those removed.  The realization search's tree shrank with each level of
+its PGL(3, p) frame (two levels, then three) and again with its
+covered-point count, which decides some T before the first node, so
+older versions report larger realization "nodes" and the same "found"
+and "exhausted":
 
     python3 scripts/census.py > census.jsonl
 """

@@ -85,6 +85,11 @@ def table_fields(max_d: int, fields: str) -> tuple[int, ...]:
         primes = tuple(int(f) for f in fields.split(",") if f.strip())
     except ValueError:
         raise UsageError(f"malformed field list {fields!r}") from None
+    if not primes:
+        raise UsageError(f"empty field list {fields!r}")
+    repeated = sorted({p for p in primes if primes.count(p) > 1})
+    if repeated:
+        raise UsageError(f"repeated field(s) {repeated} in {fields!r}")
     unsupported = [p for p in primes if p not in SUPPORTED_PRIMES]
     if unsupported:
         raise UsageError(f"unsupported field(s) {unsupported}; choose from {SUPPORTED_PRIMES}")

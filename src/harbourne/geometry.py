@@ -18,8 +18,12 @@ only line 1 (y = 0), and depth 2 only line 2 (y + z = 0), the first of
 the p - 1 other lines through their meet (1:0:0), and line p + 1 (x = 0),
 the first of the p^2 lines off it.
 
-Soundness, with the same witness: the multiplicity check prunes only
-subtrees that hold no configuration, so the unrestricted search returns
+Soundness, with the same witness: d lines with T cover exactly
+s + d(p + 1) - sum k t_k points, since their d(p + 1) incidences are
+k at each k-fold point and one at each simple point.  The number of
+points on at least m chosen lines only grows as lines are added, so the
+check against T's counts (the covered count for m = 1) prunes only
+subtrees that hold no configuration.  So the unrestricted search returns
 the lexicographically first index set C with T, and the restricted tree,
 a subtree visited in the same order, returns C if it holds C.  A
 collineation keeps T, and PGL(3, p) is transitive on ordered pairs of
@@ -112,14 +116,22 @@ def realize_over_prime_field(
     """Exhaustively search PG(2, p) for a d-line configuration with T-vector T.
 
     Candidate subsets are explored in lexicographic order of line indices.
-    A line is pruned when more points then lie on at least m chosen lines
-    than T allows, for some m >= 2; adding it moves only its p + 1 points
-    up by one, so the check is O(p) per node.  Depths 0, 1 and 2 try only
-    the PGL(3, p) frame: line 0, line 1, then line 2 or line p + 1, since
-    the lexicographically first configuration starts 0, 1, 2 if it has a
-    third line through the meet of lines 0 and 1, and 0, 1, p + 1 if not
-    (module docstring, after McKay 1998).  So the lines found are those of
-    the unrestricted search.  T must solve the pair-count identity.
+    d lines with T cover exactly s + d(p + 1) - sum k t_k points: each line
+    has p + 1 points and a k-fold point lies on k of them, so
+    d(p + 1) - sum k t_k points are simple.  If that simple count is
+    negative or the covered count exceeds p^2 + p + 1, no configuration
+    exists and the search returns exhausted after 0 nodes.  Otherwise T
+    allows t_m + ... + t_d points on at least m >= 2 chosen lines and the
+    covered count on at least 1; a line is pruned when more points then lie
+    on at least m chosen lines than T allows, for some m >= 1.  These
+    counts only grow as lines are added, and adding one moves only its
+    p + 1 points up by one, so the check is O(p) per node.  Depths 0, 1
+    and 2 try only the PGL(3, p) frame: line 0, line 1, then line 2 or
+    line p + 1, since the lexicographically first configuration starts
+    0, 1, 2 if it has a third line through the meet of lines 0 and 1, and
+    0, 1, p + 1 if not (module docstring, after McKay 1998).  So the
+    lines found are those of the unrestricted search.  T must solve the
+    pair-count identity.
     It runs on the integer incidence table of PG(2, p), and a hit is
     returned as the chosen triples of :func:`_plane_residues` in index
     order; callers build a :class:`Certificate` from them and verify it.
@@ -134,22 +146,28 @@ def realize_over_prime_field(
     d = tv.d
     if d > len(lines):
         raise ValueError(f"cannot pick {d} distinct lines in PG(2,{p}) ({len(lines)} lines)")
+    # d lines of p + 1 points cover d(p + 1) incidences; a k-fold point takes k of them
+    simple = d * (p + 1) - sum(k * tv.t(k) for k in range(2, d + 1))
+    covered = tv.s + simple  # points on >= 1 chosen line in any configuration with T
+    if simple < 0 or covered > len(lines):
+        return RealizationOutcome(None, True, 0)
     rows = _plane_incidence(p)
 
-    quota = [0, len(lines)] + [0] * d  # quota[m] = points on >= m chosen lines that T allows
+    # room[m] = points on >= m chosen lines that T still allows: covered for m = 1,
+    # t_m + ... + t_d for m >= 2; it only falls as lines are added
+    room = [0, covered] + [0] * d
     for m in range(d, 1, -1):
-        quota[m] = quota[m + 1] + tv.t(m)
+        room[m] = room[m + 1] + tv.t(m)
 
     chosen: list[int] = []
     on = [0] * len(lines)  # on[pt] = number of chosen lines through point pt
-    ge = [0] * (d + 1)  # ge[m] = number of points on >= m chosen lines, for m >= 1
     nodes = 0
 
     def search(start: int) -> tuple[tuple[int, int, int], ...] | None:
         nonlocal nodes
         depth = len(chosen)
         if depth == d:
-            # ge[m] <= quota[m] and sum (m-1) ge[m] = C(d,2) = sum (m-1) quota[m] (m >= 2): ge = quota
+            # room[m] >= 0 and sum (m - 1) room[m] (m >= 2) = C(d, 2) - C(d, 2) = 0: T is met exactly
             return tuple(lines[i] for i in chosen)
         last = len(lines) - (d - depth)  # leave room for the lines still to choose
         if depth < 2:  # the PGL(3, p) frame: depth 0 tries only line 0, depth 1 only line 1,
@@ -167,8 +185,8 @@ def realize_over_prime_field(
             for pt in row:
                 m = on[pt] + 1
                 on[pt] = m
-                ge[m] += 1
-                if ge[m] > quota[m]:
+                room[m] -= 1
+                if room[m] < 0:
                     fits = False
             chosen.append(idx)
             if fits:
@@ -178,7 +196,7 @@ def realize_over_prime_field(
             chosen.pop()
             for pt in row:
                 m = on[pt]
-                ge[m] -= 1
+                room[m] += 1
                 on[pt] = m - 1
         return None
 

@@ -45,9 +45,13 @@ class TestUsageErrors:
             (("table", "--max-d", "11"), "max-d must lie in [2, 10], got 11"),
             (("table", "--fields", "2,x"), "malformed field list '2,x'"),
             (("table", "--fields", "4,9,2"), "unsupported field(s) [4, 9]; choose from (2, 3, 5, 7, 11, 13)"),
+            (("table", "--fields", ""), "empty field list ''"),
+            (("table", "--fields", ","), "empty field list ','"),
+            (("table", "--fields", "3,2,3"), "repeated field(s) [3] in '3,2,3'"),
         ],
         ids=["degree", "bound", "identity", "tvector", "budget", "field", "field-too-long", "field-f4",
-             "too-many-lines", "max-d", "field-list", "unsupported-fields"],
+             "too-many-lines", "max-d", "field-list", "unsupported-fields", "empty-fields", "comma-fields",
+             "repeated-fields"],
     )
     def test_one_error_line_and_exit_two(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

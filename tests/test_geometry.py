@@ -27,6 +27,7 @@ from harbourne.geometry import (
     Certificate,
     CertificateError,
     InvalidConfigurationError,
+    RealizationOutcome,
     _plane_incidence,
     _plane_residues,
     realize_over_prime_field,
@@ -236,7 +237,7 @@ class TestRealization:
     def test_fano_absent_from_f3(self):
         out = realize_over_prime_field(TVector.from_mapping(7, {3: 7}), 3)
         assert not out.found and out.exhausted
-        assert out.nodes == 155
+        assert out.nodes == 0
 
     @pytest.mark.parametrize("p, nodes", [(5, 2_866), (7, 16_453)])
     def test_fano_absent_from_larger_odd_planes(self, p, nodes):
@@ -247,7 +248,7 @@ class TestRealization:
     def test_dual_hesse_found_in_f3(self):
         out = realize_over_prime_field(TVector.from_mapping(9, {3: 12}), 3)
         assert out.found
-        assert out.nodes == 16
+        assert out.nodes == 13
 
     def test_d10_found_in_f3(self):
         out = realize_over_prime_field(TVector.from_mapping(10, {3: 9, 4: 3}), 3)
@@ -268,8 +269,38 @@ class TestRealization:
             realize_over_prime_field(TVector(4, (1, 1, 0)), 3)
 
     def test_too_many_lines_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot pick 8 distinct lines in PG"):
             realize_over_prime_field(TVector.from_mapping(8, {2: 4, 3: 8}), 2)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize(
+        "t",
+        [
+            (9, 4, 0, 0, 0, 0),
+            (12, 1, 1, 0, 0, 0),
+            (8, 1, 0, 1, 0, 0),
+            (12, 3, 0, 0, 0, 0),
+            (15, 2, 0, 0, 0, 0),
+            (15, 0, 1, 0, 0, 0),
+            (18, 1, 0, 0, 0, 0),
+            (6, 0, 0, 0, 1, 0),
+        ],
+    )
+    def test_point_counts_decide_without_a_node(self, t, p):
+        """Seven such lines would need fewer than 0 simple points, or more points than PG(2, p) has."""
+        out = realize_over_prime_field(TVector(7, t), p)
+        assert out == RealizationOutcome(None, True, 0)
+
+    @pytest.mark.parametrize("t, nodes", [((9, 2, 1, 0, 0, 0), 252), ((11, 0, 0, 1, 0, 0), 113)])
+    def test_point_counts_leave_these_to_the_search(self, t, nodes):
+        out = realize_over_prime_field(TVector(7, t), 3)
+        assert not out.found and out.exhausted
+        assert out.nodes == nodes
+
+    def test_zero_budget_decides_what_the_point_counts_decide(self):
+        out = realize_over_prime_field(TVector.from_mapping(7, {3: 7}), 3, node_budget=0)
+        assert not out.found and out.exhausted
+        assert out.nodes == 0
 
     def test_roundtrip_through_certificate(self):
         vector = TVector.from_mapping(10, {3: 9, 4: 3})
@@ -278,11 +309,16 @@ class TestRealization:
         assert verify_certificate(cert).tvector == vector
 
 
+UNRESTRICTED_SWEEP = tuple((p, d) for p, max_d in ((2, 7), (3, 8), (5, 7)) for d in range(2, max_d + 1))
+TWO_LEVEL_SWEEP = ((3, 9), (3, 10))
+
+
+@lru_cache(maxsize=None)
 def _realization_sweep(planes):
     """Realize every T-vector of each (p, d) in ``planes`` with no budget.
 
-    Returns the digest of every (p, d, T, lines, exhausted), the number of
-    calls, the number of configurations found and the total node count.
+    Returns the record of every [p, d, T, lines, exhausted] and the total
+    node count.
     """
     record = []
     nodes = 0
@@ -293,6 +329,12 @@ def _realization_sweep(planes):
             lines = out.lines and [list(line) for line in out.lines]
             record.append([p, d, vector.encode(), lines, out.exhausted])
             nodes += out.nodes
+    return record, nodes
+
+
+def _sweep_summary(planes):
+    """The sweep's record digest, number of calls, configurations found and total node count."""
+    record, nodes = _realization_sweep(planes)
     digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
     found = sum(lines is not None for _, _, _, lines, _ in record)
     return digest, len(record), found, nodes
@@ -304,9 +346,8 @@ def test_frame_keeps_the_unrestricted_search_outcomes():
     The digest of every (p, d, T, lines, exhausted) was computed with the
     unrestricted search, which takes 9,506,516 nodes for these 249 calls.
     """
-    planes = [(p, d) for p, max_d in ((2, 7), (3, 8), (5, 7)) for d in range(2, max_d + 1)]
-    assert _realization_sweep(planes) == (
-        "cca87f257731242c3b79bb19570be00c21d21c6467e3a56929980a12236004d4", 249, 60, 113_566
+    assert _sweep_summary(UNRESTRICTED_SWEEP) == (
+        "cca87f257731242c3b79bb19570be00c21d21c6467e3a56929980a12236004d4", 249, 60, 93_352
     )
 
 
@@ -316,9 +357,23 @@ def test_frame_keeps_the_two_level_frame_outcomes_over_f3_at_nine_and_ten_lines(
     The digest was computed with the two-level frame, which takes 96,326
     nodes for these 436 calls.
     """
-    assert _realization_sweep([(3, 9), (3, 10)]) == (
-        "e9574958ce2401ca2bd785674e1b8358fc5603b6ce88dbf0b083a9bc95e0bf70", 436, 5, 67_153
+    assert _sweep_summary(TWO_LEVEL_SWEEP) == (
+        "e9574958ce2401ca2bd785674e1b8358fc5603b6ce88dbf0b083a9bc95e0bf70", 436, 5, 1_228
     )
+
+
+@pytest.mark.parametrize("planes", [UNRESTRICTED_SWEEP, TWO_LEVEL_SWEEP])
+def test_found_configurations_cover_the_counted_points(planes):
+    """d lines with T cover s + d(p + 1) - sum k t_k points, counted on the incidence table."""
+    record, _ = _realization_sweep(planes)
+    found = [(p, d, code, lines) for p, d, code, lines, _ in record if lines is not None]
+    assert found
+    for p, d, code, lines in found:
+        vector = TVector.decode(d, code)
+        index = {line: i for i, line in enumerate(_plane_residues(p))}
+        rows = _plane_incidence(p)
+        covered = set().union(*(rows[index[tuple(line)]] for line in lines))
+        assert len(covered) == vector.s + d * (p + 1) - sum(k * vector.t(k) for k in range(2, d + 1))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -24,6 +24,9 @@ def reproduce(tmp_path, *argv):
         (("--fields", "2,x"), "malformed field list"),
         (("--max-d", "11"), "max-d must lie in [2, 10], got 11"),
         (("--max-d", "1"), "max-d must lie in [2, 10], got 1"),
+        (("--fields", ""), "empty field list ''"),
+        (("--fields", ","), "empty field list ','"),
+        (("--fields", "3,3"), "repeated field(s) [3] in '3,3'"),
     ],
 )
 def test_usage_errors_exit_two_and_write_nothing(tmp_path, argv, message):
