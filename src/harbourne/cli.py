@@ -2,8 +2,9 @@
 
 Subcommands: enumerate, filter, feasible, realize, verify, table.
 Exit codes are a stable contract: 0 success/feasible, 1 proven negative,
-2 usage error, 3 inconclusive (budget), 4 table-integrity failure.
-The environment variable HARB_NODE_BUDGET overrides the search budget.
+2 usage error, 3 inconclusive (the search did not finish: it ran out of
+the node budget that ``--budget`` sets, or recursed deeper than Python
+allows), 4 table-integrity failure.
 
 Usage errors have one path: the helpers and commands raise
 :class:`UsageError`, often translating the ValueError of the library
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -46,25 +46,10 @@ class UsageError(Exception):
 
 
 def _node_budget(args) -> int | None:
-    """``--budget``, else HARB_NODE_BUDGET, else None (the search's default).
-
-    A negative ``--budget`` is a usage error; a negative or malformed
-    HARB_NODE_BUDGET is ignored with a warning.
-    """
-    if args.budget is not None:
-        if args.budget < 0:
-            raise UsageError(f"--budget must be non-negative, got {args.budget}")
-        return args.budget
-    env = os.environ.get("HARB_NODE_BUDGET")
-    if env:
-        try:
-            budget = int(env)
-        except ValueError:
-            budget = -1  # warned about below, as a negative value is
-        if budget >= 0:
-            return budget
-        print(f"warning: ignoring malformed or negative HARB_NODE_BUDGET={env!r}", file=sys.stderr)
-    return None
+    """``--budget``, or None for the search's default; a negative one is a usage error."""
+    if args.budget is not None and args.budget < 0:
+        raise UsageError(f"--budget must be non-negative, got {args.budget}")
+    return args.budget
 
 
 def _parse_tvector(args) -> TVector:
@@ -216,8 +201,8 @@ def cmd_verify(args) -> int:
         return EXIT_NEGATIVE
     print(f"label:    {cert.label}")
     print(f"field:    {cert.field}")
-    print(f"d:        {report.d}")
-    print(f"s:        {report.s}")
+    print(f"d:        {report.tvector.d}")
+    print(f"s:        {report.tvector.s}")
     print(f"T-vector: {report.tvector.encode()}")
     print(f"H:        {report.value} ({render_decimal(report.value)})")
     return EXIT_OK
@@ -332,6 +317,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError as exc:  # a search tree deeper than Python's stack proves nothing
+        print(f"inconclusive: search did not finish ({exc})", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -135,10 +135,9 @@ def realize_over_prime_field(
     It runs on the integer incidence table of PG(2, p), and a hit is
     returned as the chosen triples of :func:`_plane_residues` in index
     order; callers build a :class:`Certificate` from them and verify it.
-    As in :class:`~harbourne.incidence.SearchOutcome`, ``exhausted=True``
-    means the search finished, with a configuration or after the whole
-    tree; ``exhausted=False`` means the node budget ran out and the search
-    proves nothing.
+    ``exhausted=True`` means the search finished, with a configuration or
+    after the whole tree; ``exhausted=False`` means the node budget ran out
+    and the search proves nothing.
     """
     budget = resolve_node_budget(node_budget)
     require_solution(tv)
@@ -282,13 +281,11 @@ def _parse_lines(field: FieldDescriptor, lines) -> tuple:
 
 
 class VerificationReport(Value):
-    __slots__ = ("tvector", "value", "d", "s")
+    __slots__ = ("tvector", "value")
 
-    def __init__(self, tvector: TVector, value: Fraction, d: int, s: int) -> None:
+    def __init__(self, tvector: TVector, value: Fraction) -> None:
         object.__setattr__(self, "tvector", tvector)
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "s", s)
 
 
 def _eisenstein_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -392,11 +389,10 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         mults = _point_multiplicities(ring, lines)
     except InvalidConfigurationError as exc:
         raise CertificateError(f"certificate {cert.label!r}: {exc}") from None
-    d = len(lines)
-    tv = TVector.from_mapping(d, Counter(mults))
+    tv = TVector.from_mapping(len(lines), Counter(mults))
     if cert.claimed_tvector is not None and cert.claimed_tvector != tv:
         raise CertificateError(
             f"certificate {cert.label!r} claims T=({cert.claimed_tvector.encode()}) "
             f"but verification computed T=({tv.encode()})"
         )
-    return VerificationReport(tv, quotient_fraction(tv), d, len(mults))
+    return VerificationReport(tv, quotient_fraction(tv))

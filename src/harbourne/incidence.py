@@ -101,17 +101,17 @@ class CliquePartition(Value):
 
 
 class SearchOutcome(Value):
-    __slots__ = ("feasible", "witness", "nodes_explored", "exhausted")
+    """A finished search: ``witness`` is a clique partition with T, or None after the whole tree."""
 
-    def __init__(
-        self, feasible: bool, witness: CliquePartition | None, nodes_explored: int, exhausted: bool
-    ) -> None:
-        if not feasible and not exhausted:
-            raise ValueError("infeasibility claims require an exhausted search")
-        object.__setattr__(self, "feasible", feasible)
+    __slots__ = ("witness", "nodes_explored")
+
+    def __init__(self, witness: CliquePartition | None, nodes_explored: int) -> None:
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "nodes_explored", nodes_explored)
-        object.__setattr__(self, "exhausted", exhausted)
+
+    @property
+    def feasible(self) -> bool:
+        return self.witness is not None
 
 
 def validate_partition(partition: CliquePartition, tv: TVector) -> bool:
@@ -174,10 +174,10 @@ def _representable_degrees(tv: TVector) -> list[bool]:
 def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchOutcome:
     """Decide whether T admits a clique partition of K_d; exhaustive search.
 
-    Returns a feasible outcome with a witness, or infeasible with
-    ``exhausted=True``.  Raises :class:`SearchBudgetExceeded` when the
-    node budget runs out, so an unfinished search is never mistaken for
-    a proof of infeasibility.
+    Returns an outcome with a witness, or without one once the whole tree
+    is exhausted.  Raises :class:`SearchBudgetExceeded` when the node
+    budget runs out, so an unfinished search is never mistaken for a
+    proof of infeasibility.
     """
     budget = resolve_node_budget(node_budget)
     require_solution(tv)
@@ -354,6 +354,4 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
         witness = search(0, 0)
     finally:
         del search  # it refers to itself, so only the cyclic GC would free it and its state
-    if witness is None:
-        return SearchOutcome(False, None, nodes, True)
-    return SearchOutcome(True, witness, nodes, True)
+    return SearchOutcome(witness, nodes)

@@ -125,12 +125,6 @@ class CertificateDatabase:
             self.certificates[cert.label] = cert
             self._by_tvector.setdefault(report.tvector, []).append(cert)
 
-    def __len__(self) -> int:
-        return len(self.certificates)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.certificates
-
     def get(self, label: str) -> Certificate:
         return self.certificates[label]
 

@@ -92,7 +92,7 @@ def _collect_verified_configurations():
     for mode in (MODE_ABSOLUTE, MODE_COMPLEX):
         for row in compute_table(10, mode, (2, 3), DB):
             for status in row.audit:
-                if status.status == ST_REALIZED and status.certificate.label not in DB:
+                if status.status == ST_REALIZED and status.certificate.label not in DB.labels():
                     configs.append(
                         (status.certificate.label, configuration_from_certificate(status.certificate))
                     )

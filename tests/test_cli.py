@@ -133,29 +133,18 @@ class TestFeasible:
         assert code == 3
         assert "inconclusive" in err
 
-    def test_env_budget_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("HARB_NODE_BUDGET", "2")
-        code, _, _ = run(capsys, "feasible", "-d", "9", "-t", "0,12,0,0,0,0,0,0")
-        assert code == 3
-
     def test_negative_budget_is_usage_error(self, capsys):
         code, out, err = run(capsys, "feasible", "-d", "9", "-t", "0,12,0,0,0,0,0,0", "--budget", "-1")
         assert code == 2
         assert out == "" and "--budget must be non-negative" in err
 
-    @pytest.mark.parametrize("value", ["-5", "lots"])
-    def test_negative_or_malformed_env_budget_is_ignored(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("HARB_NODE_BUDGET", value)
-        code, out, err = run(capsys, "feasible", "-d", "9", "-t", "0,12,0,0,0,0,0,0")
-        assert code == 0
-        assert f"ignoring malformed or negative HARB_NODE_BUDGET={value!r}" in err
-        assert len(json.loads(out)["points"]) == 12
-
-    def test_command_line_budget_wins_over_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HARB_NODE_BUDGET", "-5")
-        code, _, err = run(capsys, "feasible", "-d", "9", "-t", "0,12,0,0,0,0,0,0", "--budget", "2")
-        assert code == 3
-        assert "warning" not in err
+    def test_search_deeper_than_the_stack_is_inconclusive(self, capsys):
+        # 45 lines in general position: one recursion level per pair, 990 in all
+        counts = ",".join(["990"] + ["0"] * 43)
+        code, out, err = run(capsys, "feasible", "-d", "45", "-t", counts)
+        assert (code, out) == (3, "")
+        assert err.startswith("inconclusive: search did not finish (maximum recursion depth exceeded")
+        assert err.count("\n") == 1
 
     def test_witness_file_output(self, capsys, tmp_path):
         out_file = tmp_path / "witness.json"
@@ -186,6 +175,12 @@ class TestRealize:
             capsys, "realize", "-d", "7", "-t", "0,7,0,0,0,0", "--field", "f2", "--out", str(out_file)
         )
         assert (code, out, err) == (2, "", f"error: cannot write {out_file}: No such file or directory\n")
+
+    def test_budget_inconclusive_exit_three(self, capsys):
+        code, out, err = run(
+            capsys, "realize", "-d", "9", "-t", "0,12,0,0,0,0,0,0", "--field", "f3", "--budget", "2"
+        )
+        assert (code, out, err) == (3, "", "inconclusive: node budget exceeded (3 nodes)\n")
 
     def test_fano_over_f3_exhausted(self, capsys):
         code, _, err = run(capsys, "realize", "-d", "7", "-t", "0,7,0,0,0,0", "--field", "f3")

