@@ -3,8 +3,8 @@
 Subcommands: enumerate, filter, feasible, realize, verify, table.
 Exit codes are a stable contract: 0 success/feasible, 1 proven negative,
 2 usage error, 3 inconclusive (the search did not finish: it ran out of
-the node budget that ``--budget`` sets, or recursed deeper than Python
-allows), 4 table-integrity failure.
+the node budget that ``--budget`` sets, or a recursive step hit Python's
+recursion limit), 4 table-integrity failure.
 
 Usage errors have one path: the helpers and commands raise
 :class:`UsageError`, often translating the ValueError of the library

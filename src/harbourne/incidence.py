@@ -71,6 +71,7 @@ running out of node budget raises instead.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import comb
 
 from ._value import Value
@@ -294,17 +295,24 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
         kept = (shared | pairs_of_two & pairs_of_two >> 1) << 1
         twins[line + 1] = twins[line] & kept & ~(1 << (line + 2))
 
-    def search(ptr: int, stage: int) -> CliquePartition | None:
-        # twins[stage] is current: stage is that of pairs[ptr], the last pair placed (or 0)
-        nonlocal nodes
-        while ptr < len(pairs):
+    # Depth-first over the candidates of each node, on an explicit stack so
+    # that the tree's depth (up to one level per pair) is not bounded by
+    # Python's recursion limit.  A node is the pair pointer ptr and the stage
+    # of the last pair placed; twins[stage] is current on entering it.  The
+    # stack holds each ancestor's pointer, pair, the iterator over its
+    # remaining candidates, and whether the candidate it is trying was seeded.
+    n_pairs = len(pairs)
+    stack: list[tuple[int, int, int, Iterator[int], bool]] = []
+    ptr = stage = 0
+    while True:
+        while ptr < n_pairs:
             i, j = pairs[ptr]
             if not met[i] >> j & 1:
                 break
             ptr += 1
-        if ptr == len(pairs):
+        if ptr == n_pairs:
             points = (tuple(line for line in range(d) if mask >> line & 1) for mask in slot_lines)
-            return CliquePartition(d, tuple(points))
+            return SearchOutcome(CliquePartition(d, tuple(points)), nodes)
         while stage < i:
             split_twins(stage)
             stage += 1
@@ -331,27 +339,28 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
             if left and fits(i, size) and fits(j, size):
                 candidates.append(block_end[size] - left)  # the first empty slot of this size
 
-        for slot in candidates:
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(nodes)
-            # seeding with i leaves j's degree, slots and pair (i, j) as they were,
-            # so j may still join
-            seeded = not slot_lines[slot]
-            if seeded:
-                join(i, slot)
-            join(j, slot)
-            if slots_completable():
-                witness = search(ptr, i)
-                if witness is not None:
-                    return witness
+        # try the candidates in order; when they run out, return to the parent
+        options = iter(candidates)
+        while True:
+            slot = next(options, None)
+            if slot is None:
+                if not stack:
+                    return SearchOutcome(None, nodes)  # the whole tree is exhausted
+                ptr, i, j, options, seeded = stack.pop()
+            else:
+                nodes += 1
+                if nodes > budget:
+                    raise SearchBudgetExceeded(nodes)
+                # seeding with i leaves j's degree, slots and pair (i, j) as they were,
+                # so j may still join
+                seeded = not slot_lines[slot]
+                if seeded:
+                    join(i, slot)
+                join(j, slot)
+                if slots_completable():
+                    stack.append((ptr, i, j, options, seeded))
+                    stage = i
+                    break  # enter the child
             unjoin(j)
             if seeded:
                 unjoin(i)
-        return None
-
-    try:
-        witness = search(0, 0)
-    finally:
-        del search  # it refers to itself, so only the cyclic GC would free it and its state
-    return SearchOutcome(witness, nodes)

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import neg
 
 from ._value import Value
 
@@ -41,10 +42,10 @@ class TVector(Value):
     def __init__(self, d: int, counts: tuple[int, ...]) -> None:
         if d < 2:
             raise InvalidDegreeError(f"need at least 2 lines, got d={d}")
-        counts = tuple(int(c) for c in counts)
+        counts = tuple(map(int, counts))
         if len(counts) != d - 1:
             raise ValueError(f"expected {d - 1} counts (t_2..t_{d}), got {len(counts)}")
-        if any(c < 0 for c in counts):
+        if min(counts) < 0:  # d >= 2, so there is at least one count
             raise ValueError(f"negative multiplicity count in {counts}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "counts", counts)
@@ -132,41 +133,44 @@ def render_mixed(x: Fraction) -> str:
     return f"{sign}{whole} {rem}/{x.denominator}"
 
 
-def sort_key(tv: TVector):
-    """Total order: q ascending, then (t_d, ..., t_2) descending."""
-    return (quotient_fraction(tv), tuple(-c for c in reversed(tv.counts)))
-
-
 def enumerate_tvectors(d: int, q_ceiling: Fraction | None = None) -> list[TVector]:
     """All solutions of the pair-count identity for d lines, sorted.
 
     The order is q(T) ascending with the descending lexicographic order
     on (t_d, ..., t_2) as tie-break, so repeated runs are byte-identical.
-    With ``q_ceiling`` only solutions with q(T) <= q_ceiling are kept.
+    With ``q_ceiling`` (an int or a Fraction) only solutions with
+    q(T) <= q_ceiling are kept.
     """
     if d < 2:
         raise InvalidDegreeError(f"need at least 2 lines, got d={d}")
     if d > 10:
         warnings.warn(f"enumeration for d={d} exceeds the supported range d <= 10", stacklevel=2)
     budget = comb(d, 2)
-    solutions: list[TVector] = []
+    square = d * d
+    # every s <= C(d,2) divides scale, so (d^2 - w) * (scale // s) is q * scale exactly
+    scale = lcm(*range(1, budget + 1))
+    if q_ceiling is not None:
+        num, den = q_ceiling.numerator, q_ceiling.denominator
+    keyed: list[tuple[int, tuple[int, ...], TVector]] = []
     counts = [0] * (d - 1)
 
-    def descend(k: int, remaining: int) -> None:
+    def descend(k: int, remaining: int, points: int, weighted: int) -> None:
+        # points = sum t_j and weighted = sum j^2 t_j over the j > k already chosen
         if k == 2:
             counts[0] = remaining  # each double point uses exactly one pair
-            solutions.append(TVector(d, tuple(counts)))
+            points += remaining
+            excess = square - weighted - 4 * remaining  # q = excess / points
+            if q_ceiling is None or excess * den <= num * points:
+                tie_break = tuple(map(neg, reversed(counts)))
+                keyed.append((excess * (scale // points), tie_break, TVector(d, tuple(counts))))
             return
         weight = comb(k, 2)
         for t in range(remaining // weight + 1):
             counts[k - 2] = t
-            descend(k - 1, remaining - t * weight)
+            descend(k - 1, remaining - t * weight, points + t, weighted + t * k * k)
         counts[k - 2] = 0
 
-    descend(d, budget)
+    descend(d, budget, 0, 0)
     del descend  # it refers to itself, so only the cyclic GC would free it and its state
-    if q_ceiling is not None:
-        ceiling = Fraction(q_ceiling)
-        solutions = [tv for tv in solutions if quotient_fraction(tv) <= ceiling]
-    solutions.sort(key=sort_key)
-    return solutions
+    keyed.sort()  # no two T share a tie-break, so no TVector is ever compared
+    return [tv for _, _, tv in keyed]

@@ -4,6 +4,8 @@ import json
 import pytest
 
 from harbourne.cli import main
+from harbourne.incidence import CliquePartition, validate_partition
+from harbourne.tspace import TVector
 
 
 def run(capsys, *argv):
@@ -138,13 +140,14 @@ class TestFeasible:
         assert code == 2
         assert out == "" and "--budget must be non-negative" in err
 
-    def test_search_deeper_than_the_stack_is_inconclusive(self, capsys):
-        # 45 lines in general position: one recursion level per pair, 990 in all
+    def test_search_deeper_than_the_python_stack_finds_witness(self, capsys):
+        # 45 lines in general position: the search tree is one level per pair, 990 deep
         counts = ",".join(["990"] + ["0"] * 43)
         code, out, err = run(capsys, "feasible", "-d", "45", "-t", counts)
-        assert (code, out) == (3, "")
-        assert err.startswith("inconclusive: search did not finish (maximum recursion depth exceeded")
-        assert err.count("\n") == 1
+        assert (code, err) == (0, "")
+        witness = json.loads(out)
+        partition = CliquePartition(witness["d"], tuple(map(tuple, witness["points"])))
+        assert validate_partition(partition, TVector.decode(45, counts))
 
     def test_witness_file_output(self, capsys, tmp_path):
         out_file = tmp_path / "witness.json"
@@ -370,8 +373,7 @@ class TestTable:
             ("complex", "text", "876f6169b1c1cac81fca5972520c3ceb0b98bdca1ed5850cdc524462c3655121"),
         ],
     )
-    def test_full_audit_bytes_are_pinned(self, capsys, monkeypatch, mode, fmt, digest):
-        monkeypatch.delenv("HARB_NODE_BUDGET", raising=False)
+    def test_full_audit_bytes_are_pinned(self, capsys, mode, fmt, digest):
         code, out, err = run(
             capsys, "table", "--max-d", "10", "--mode", mode, "--audit", "--format", fmt
         )

@@ -145,6 +145,14 @@ def test_witness_deterministic():
     assert first.nodes_explored == second.nodes_explored == 41
 
 
+def test_search_deeper_than_the_python_stack():
+    # 60 lines in general position: one tree level per pair, 1,770 deep;
+    # the only clique partition is every pair on its own
+    outcome = feasible_arrangement(tv(60, {2: comb(60, 2)}))
+    assert outcome.nodes_explored == 1770
+    assert outcome.witness.points == tuple(combinations(range(60), 2))
+
+
 def test_budget_exhaustion_raises():
     with pytest.raises(SearchBudgetExceeded) as excinfo:
         feasible_arrangement(tv(9, {3: 12}), node_budget=3)

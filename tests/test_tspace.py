@@ -110,14 +110,32 @@ def test_enumeration_count_matches_brute_force(d):
     assert len(enumerate_tvectors(d)) == brute_force_count(d)
 
 
+def reference_order(d, q_ceiling=None):
+    """T-space sorted by Fraction keys: q ascending, then (t_d, ..., t_2) descending."""
+    vs = enumerate_tvectors(d)
+    if q_ceiling is not None:
+        vs = [tv for tv in vs if quotient_fraction(tv) <= q_ceiling]
+    return sorted(vs, key=lambda tv: (quotient_fraction(tv), tuple(-c for c in reversed(tv.counts))))
+
+
 def test_sorted_by_quotient_then_reverse_lex():
-    for d in (5, 8, 10):
-        vs = enumerate_tvectors(d)
-        qs = [quotient_fraction(tv) for tv in vs]
-        assert qs == sorted(qs)
-        for a, b in zip(vs, vs[1:]):
-            if quotient_fraction(a) == quotient_fraction(b):
-                assert tuple(reversed(a.counts)) > tuple(reversed(b.counts))
+    for d in range(2, 11):
+        assert enumerate_tvectors(d) == reference_order(d)
+
+
+@pytest.mark.parametrize("d", (11, 12))
+def test_sorted_beyond_the_supported_range(d):
+    with pytest.warns(UserWarning):
+        assert enumerate_tvectors(d) == reference_order(d)
+
+
+@pytest.mark.parametrize(
+    "ceiling", (Fraction(-34, 15), Fraction(-29, 12), Fraction(-2), Fraction(0))
+)
+def test_ceiling_keeps_the_boundary(ceiling):
+    below = enumerate_tvectors(10, ceiling)
+    assert below == reference_order(10, ceiling)
+    assert any(quotient_fraction(tv) == ceiling for tv in below)
 
 
 def test_enumeration_deterministic():
