@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb
 
 from ._value import Value
-from .tspace import TVector, require_solution
+from .tspace import TVector, _require_balanced, require_solution
 
 PASSED = "passed"
 EXCLUDED = "excluded"
@@ -73,13 +73,20 @@ def multiplicity_sum_filter(tv: TVector) -> ExclusionVerdict:
     triangular and quadrangle cases.
     """
     require_solution(tv)
-    mults = tv.multiplicities()
+    return _multiplicity_sum_verdict(tv.d, tv.multiplicities())
+
+
+def _multiplicity_sum_verdict(d: int, mults: list[int]) -> ExclusionVerdict:
     running = 0
     for r, m in enumerate(mults, start=1):
+        if m < r:
+            # from here on each point adds m <= r - 1 to the sum and the bound
+            # grows by r - 1, so no larger r can fail
+            break
         running += m
-        bound = tv.d + comb(r, 2)
+        bound = d + r * (r - 1) // 2
         if running > bound:
-            top = "+".join(str(x) for x in mults[:r])
+            top = "+".join(map(str, mults[:r]))
             return ExclusionVerdict(
                 "multiplicity_sum",
                 f"r={r}: {top} = {running} > {bound} = d + C({r},2)",
@@ -97,15 +104,19 @@ def two_pencils_filter(tv: TVector) -> ExclusionVerdict:
     valid without knowing which case occurs.
     """
     require_solution(tv)
-    if tv.s < 2:
+    return _two_pencils_verdict(tv.multiplicities())
+
+
+def _two_pencils_verdict(mults: list[int]) -> ExclusionVerdict:
+    s = len(mults)
+    if s < 2:
         return ExclusionVerdict(None, "fewer than two singular points")
-    mults = tv.multiplicities()
     m1, m2 = mults[0], mults[1]
     needed = (m1 - 1) * (m2 - 1) + 2
-    if needed > tv.s:
+    if needed > s:
         return ExclusionVerdict(
             "two_pencils",
-            f"(m1-1)(m2-1)+2 = ({m1}-1)({m2}-1)+2 = {needed} > s = {tv.s}",
+            f"(m1-1)(m2-1)+2 = ({m1}-1)({m2}-1)+2 = {needed} > s = {s}",
         )
     return ExclusionVerdict(None, "ok")
 
@@ -119,7 +130,8 @@ def _line_profiles(tv: TVector) -> tuple[list[int], list[tuple[int, ...]]]:
     multiplicity m, and since each m counts the line itself, the parts
     satisfy sum (m-1) = d-1.
     """
-    ks = [k for k in range(tv.d, 1, -1) if tv.t(k) > 0]
+    t = tv.counts
+    ks = [k for k in range(tv.d, 1, -1) if t[k - 2]]
     counts: list[tuple[int, ...]] = []
     per_class = [0] * len(ks)  # every loop below ends at count 0, so deeper entries are 0
 
@@ -130,7 +142,7 @@ def _line_profiles(tv: TVector) -> tuple[list[int], list[tuple[int, ...]]]:
         if idx == len(ks):
             return
         k = ks[idx]
-        max_count = min(tv.t(k), remaining // (k - 1))
+        max_count = min(t[k - 2], remaining // (k - 1))
         for count in range(max_count, -1, -1):
             per_class[idx] = count
             descend(idx + 1, remaining - count * (k - 1))
@@ -346,16 +358,21 @@ def hirzebruch_filter(tv: TVector) -> ExclusionVerdict:
     and d=10 (0,9,3,...), (3,6,4,...) and (3,8,3,...).
     """
     require_solution(tv)
-    if tv.d < 6:
+    return _hirzebruch_verdict(tv)
+
+
+def _hirzebruch_verdict(tv: TVector) -> ExclusionVerdict:
+    d, t = tv.d, tv.counts
+    if d < 6:
         return ExclusionVerdict(None, "inapplicable: d < 6")
-    if tv.t(tv.d) != 0 or tv.t(tv.d - 1) != 0 or tv.t(tv.d - 2) != 0:
+    if t[-1] or t[-2] or t[-3]:
         return ExclusionVerdict(None, "inapplicable: t_d, t_{d-1} or t_{d-2} is nonzero")
-    lhs = Fraction(tv.t(2)) + Fraction(3, 4) * tv.t(3)
-    rhs = tv.d + sum((k - 4) * tv.t(k) for k in range(5, tv.d + 1))
-    if lhs < rhs:
+    quadruple_lhs = 4 * t[0] + 3 * t[1]  # 4 (t2 + (3/4) t3)
+    rhs = d + sum((k - 4) * t[k - 2] for k in range(5, d + 1))
+    if quadruple_lhs < 4 * rhs:
         return ExclusionVerdict(
             "hirzebruch",
-            f"t2 + (3/4) t3 = {lhs} < {rhs} = d + sum_(k>=5) (k-4) t_k",
+            f"t2 + (3/4) t3 = {Fraction(quadruple_lhs, 4)} < {rhs} = d + sum_(k>=5) (k-4) t_k",
         )
     return ExclusionVerdict(None, "ok")
 
@@ -366,21 +383,33 @@ def apply_all(tv: TVector, mode: str) -> ExclusionVerdict:
     Order is fixed (multiplicity sums, two pencils, line profiles, then in
     complex mode the Hirzebruch bound, and last the point-pair budgets) so
     audit trails are reproducible.  Point pairs run last so that every
-    exclusion an earlier filter makes keeps its criterion.  The line
-    profiles and their first mix are computed once for the two profile
-    filters.
+    exclusion an earlier filter makes keeps its criterion.  One pass over
+    the counts checks the pair-count identity and lists the multiplicities
+    for the two cheap filters, and the line profiles and their first mix
+    are computed once for the two profile filters.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    for f in (multiplicity_sum_filter, two_pencils_filter):
-        verdict = f(tv)
-        if verdict.is_excluded:
-            return verdict
+    d = k = tv.d
+    imbalance = -(d * (d - 1) // 2)
+    mults: list[int] = []  # descending
+    for count in reversed(tv.counts):
+        if count:
+            imbalance += count * (k * (k - 1) // 2)
+            mults += [k] * count
+        k -= 1
+    _require_balanced(imbalance)
+    verdict = _multiplicity_sum_verdict(d, mults)
+    if verdict.is_excluded:
+        return verdict
+    verdict = _two_pencils_verdict(mults)
+    if verdict.is_excluded:
+        return verdict
     ks, counts = _line_profiles(tv)
     first = _profile_mix(tv, ks, counts)
     verdict = _parity_verdict(tv, ks, counts, first)
     if not verdict.is_excluded and mode == MODE_COMPLEX:
-        verdict = hirzebruch_filter(tv)
+        verdict = _hirzebruch_verdict(tv)
     if not verdict.is_excluded:
         verdict = _point_pairs_verdict(tv, ks, counts, first)
     return verdict if verdict.is_excluded else ExclusionVerdict(None, "all filters passed")

@@ -72,6 +72,7 @@ running out of node budget raises instead.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cache
 from math import comb
 
 from ._value import Value
@@ -116,7 +117,11 @@ class SearchOutcome(Value):
 
 
 def validate_partition(partition: CliquePartition, tv: TVector) -> bool:
-    """Independent witness checker: pair-exactness, size counts, intersections."""
+    """Independent witness checker: pair-exactness and size counts.
+
+    Two cliques sharing lines a and b would both cover the pair (a, b), so
+    pair-exactness also rules out cliques meeting in more than one line.
+    """
     d = partition.d
     if d != tv.d:
         return False
@@ -139,11 +144,6 @@ def validate_partition(partition: CliquePartition, tv: TVector) -> bool:
         sizes[len(clique)] = sizes.get(len(clique), 0) + 1
     if sizes != {k: tv.t(k) for k in range(2, d + 1) if tv.t(k) > 0}:
         return False
-    # pair exactness already forces |A & B| <= 1; assert it independently
-    for i in range(len(partition.points)):
-        for j in range(i + 1, len(partition.points)):
-            if len(set(partition.points[i]) & set(partition.points[j])) > 1:
-                return False
     return True
 
 
@@ -156,20 +156,21 @@ def resolve_node_budget(node_budget: int | None) -> int:
     return node_budget
 
 
-def _representable_degrees(tv: TVector) -> list[bool]:
-    """Which totals sum (k-1)*a_k with 0 <= a_k <= t_k can reach, up to d-1."""
+def _representable_degrees(tv: TVector) -> int:
+    """Bitmask of the totals sum (k-1)*a_k with 0 <= a_k <= t_k up to d-1: bit v for total v."""
     limit = tv.d - 1
-    reachable = [False] * (limit + 1)
-    reachable[0] = True
-    for k in range(2, tv.d + 1):
-        count, part = tv.t(k), k - 1
-        if count == 0:
-            continue
-        for _ in range(count):
-            for v in range(limit - part, -1, -1):
-                if reachable[v]:
-                    reachable[v + part] = True
+    within = (1 << tv.d) - 1
+    reachable = 1
+    for part, count in enumerate(tv.counts, 1):
+        for _ in range(min(count, limit // part)):
+            reachable = (reachable | reachable << part) & within
     return reachable
+
+
+@cache
+def _pairs(d: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, j) of lines i < j < d in lexicographic order, the order the search covers them."""
+    return tuple((i, j) for i in range(d) for j in range(i + 1, d))
 
 
 def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchOutcome:
@@ -182,10 +183,10 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
     """
     budget = resolve_node_budget(node_budget)
     require_solution(tv)
-    d, s = tv.d, tv.s
+    d = tv.d
 
     sizes = tv.multiplicities()  # slot sizes, descending
-    n_slots = len(sizes)
+    n_slots = s = len(sizes)
     slot_lines = [0] * n_slots  # bitmask of the lines in each slot
     line_slots: list[list[int]] = [[] for _ in range(d)]  # in joining order
     committed = [0] * d  # sum (size - 1) over slots containing the line
@@ -198,13 +199,20 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
         block_end[size] = slot + 1
         unseeded[size] += 1
     all_lines = (1 << d) - 1
-    reachable = _representable_degrees(tv)
+    degrees = _representable_degrees(tv)
+    reachable = [degrees >> v & 1 for v in range(d)]
     max_deg = d - 1
 
-    # two slots may share a line only if (k1-1)(k2-1) + 2 <= s
-    share_ok = [[(k1 - 1) * (k2 - 1) + 2 <= s for k2 in range(d + 1)] for k1 in range(d + 1)]
+    # two slots may share a line only if (k1-1)(k2-1) + 2 <= s; rows and
+    # columns only for the slot sizes T has
+    present = [size for size in range(d + 1) if unseeded[size]]
+    share_ok: list[list[bool]] = [[]] * (d + 1)
+    for k1 in present:
+        row = share_ok[k1] = [False] * (d + 1)
+        for k2 in present:
+            row[k2] = (k1 - 1) * (k2 - 1) + 2 <= s
 
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    pairs = _pairs(d)
     nodes = 0
     # twins[i]: bit j set iff lines j-1 and j are twins at stage i (see the module docstring)
     twins = [0] * d

@@ -319,13 +319,13 @@ def compute_table(
         value: Fraction | None = None
         witness = ""
         for tv in enumerate_tvectors(d):
-            q = quotient_fraction(tv)
-            if value is not None and q > value:
+            # until a value is set every candidate is classified, and the status carries q
+            if value is not None and quotient_fraction(tv) > value:
                 break
             status = classify_candidate(tv, mode, fields, db, node_budget)
             audit.append(status)
             if status.status == ST_REALIZED and value is None:
-                value = q
+                value = status.q
                 witness = status.certificate.label
         if value is None:
             raise TableIntegrityError(

@@ -84,7 +84,7 @@ class TVector(Value):
         """All point multiplicities as a descending list (t_k copies of k)."""
         out: list[int] = []
         for k in range(self.d, 1, -1):
-            out.extend([k] * self.t(k))
+            out += [k] * self.counts[k - 2]
         return out
 
     def __str__(self) -> str:
@@ -93,12 +93,16 @@ class TVector(Value):
 
 def identity_imbalance(tv: TVector) -> int:
     """sum t_k * C(k,2) - C(d,2); zero exactly for solution vectors."""
-    return sum(tv.t(k) * comb(k, 2) for k in range(2, tv.d + 1)) - comb(tv.d, 2)
+    return sum(t * (k * (k - 1) // 2) for k, t in enumerate(tv.counts, 2)) - comb(tv.d, 2)
 
 
 def require_solution(tv: TVector) -> None:
     """Raise ValueError, naming the imbalance, unless T solves the pair-count identity."""
-    imbalance = identity_imbalance(tv)
+    _require_balanced(identity_imbalance(tv))
+
+
+def _require_balanced(imbalance: int) -> None:
+    """:func:`require_solution` for an imbalance the caller has already computed."""
     if imbalance:
         raise ValueError(
             f"T-vector violates the pair-count identity: sum t_k*C(k,2) - C(d,2) = {imbalance:+d}"
@@ -106,10 +110,15 @@ def require_solution(tv: TVector) -> None:
 
 
 def quotient_fraction(tv: TVector) -> Fraction:
-    s = tv.s
+    s = weighted = 0
+    k = 2
+    for t in tv.counts:
+        if t:
+            s += t
+            weighted += k * k * t
+        k += 1
     if s < 1:
         raise ValueError(f"quotient undefined for empty point set: {tv}")
-    weighted = sum(k * k * tv.t(k) for k in range(2, tv.d + 1))
     return Fraction(tv.d * tv.d - weighted, s)
 
 

@@ -8,6 +8,7 @@ from harbourne.criteria import (
     MODE_ABSOLUTE,
     MODE_COMPLEX,
     MODES,
+    ExclusionVerdict,
     _line_profiles,
     _profile_mix,
     _shape,
@@ -19,6 +20,7 @@ from harbourne.criteria import (
     two_pencils_filter,
 )
 from harbourne.incidence import SearchBudgetExceeded, feasible_arrangement
+from harbourne.pipeline import classify_candidate
 from harbourne.tspace import TVector, enumerate_tvectors
 
 
@@ -293,6 +295,30 @@ class TestApplyAll:
         assert all(TVector.decode(d, t).counts[-3:] == (0, 0, 0) for d, t in hirzebruch)
         digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
         assert digest == "9cc54c96b75130d5709363babc94cd32c07f37ec0e424a4495d1e5b0c992d6a5"
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_same_verdict_as_the_filters_one_by_one(self, mode):
+        # apply_all reads the counts once; each public filter starts afresh
+        filters = [multiplicity_sum_filter, two_pencils_filter, parity_profile_filter]
+        if mode == MODE_COMPLEX:
+            filters.append(hirzebruch_filter)
+        filters.append(point_pairs_filter)
+        for d in range(2, 11):
+            for vector in enumerate_tvectors(d):
+                verdicts = (f(vector) for f in filters)
+                expected = next((v for v in verdicts if v.is_excluded), None)
+                if expected is None:
+                    expected = ExclusionVerdict(None, "all filters passed")
+                assert apply_all(vector, mode) == expected, vector
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_non_solution_raises_the_pair_count_error(self, mode):
+        vector = TVector(5, (9, 0, 0, 0))  # 9 pairs of 10
+        message = r"^T-vector violates the pair-count identity: sum t_k\*C\(k,2\) - C\(d,2\) = -1$"
+        with pytest.raises(ValueError, match=message):
+            apply_all(vector, mode)
+        with pytest.raises(ValueError, match=message):
+            classify_candidate(vector, mode)
 
     def test_verdict_serialization(self):
         v = apply_all(tv(5, {2: 1, 3: 3}), MODE_ABSOLUTE)

@@ -1,5 +1,5 @@
 import json
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -8,6 +8,7 @@ from harbourne.criteria import MODES, apply_all
 from harbourne.incidence import (
     CliquePartition,
     SearchBudgetExceeded,
+    _representable_degrees,
     feasible_arrangement,
     validate_partition,
 )
@@ -117,6 +118,12 @@ def test_validate_rejects_doubly_covered_pair():
     assert not validate_partition(broken, tv(7, {3: 7}))
 
 
+def test_validate_rejects_cliques_sharing_two_lines():
+    # (0, 1, 2) and (0, 1, 3) share lines 0 and 1, so both cover the pair (0, 1)
+    shared = CliquePartition(4, ((0, 1, 2), (0, 1, 3), (2, 3)))
+    assert not validate_partition(shared, tv(4, {2: 1, 3: 2}))
+
+
 def test_validate_rejects_wrong_histogram():
     assert not validate_partition(fano_partition(), tv(7, {2: 14, 3: 0, 4: 0, 5: 0, 6: 1}))
 
@@ -148,9 +155,23 @@ def test_witness_deterministic():
 def test_search_deeper_than_the_python_stack():
     # 60 lines in general position: one tree level per pair, 1,770 deep;
     # the only clique partition is every pair on its own
-    outcome = feasible_arrangement(tv(60, {2: comb(60, 2)}))
+    vector = tv(60, {2: comb(60, 2)})
+    outcome = feasible_arrangement(vector)
     assert outcome.nodes_explored == 1770
     assert outcome.witness.points == tuple(combinations(range(60), 2))
+    assert validate_partition(outcome.witness, vector)
+
+
+def test_representable_degrees_match_brute_force_subset_sums():
+    """Bit v is set iff v <= d-1 is a sum of (k-1)*a_k with 0 <= a_k <= t_k, for every T at d <= 10."""
+    assert _representable_degrees(tv(7, {3: 7})) == 0b1010101
+    for d in range(2, 11):
+        for vector in enumerate_tvectors(d):
+            totals = {
+                sum(part * a for part, a in enumerate(choice, 1))
+                for choice in product(*(range(t + 1) for t in vector.counts))
+            }
+            assert _representable_degrees(vector) == sum(1 << v for v in totals if v < d), vector
 
 
 def test_budget_exhaustion_raises():

@@ -1,14 +1,16 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from harbourne import criteria, pipeline
-from harbourne.criteria import MODE_ABSOLUTE, MODE_COMPLEX
+from harbourne.criteria import MODE_ABSOLUTE, MODE_COMPLEX, MODES
 from harbourne.pipeline import (
     ST_EXCLUDED,
     ST_INFEASIBLE,
     ST_REALIZED,
+    DEFAULT_FIELDS,
     builtin_certificates,
     classify_candidate,
     compute_table,
@@ -201,6 +203,25 @@ class TestTables:
             return json.dumps([row.to_json() for row in rows])
 
         assert dump() == dump()
+
+    def test_each_quotient_is_computed_once_until_the_value_is_set(self, db, monkeypatch):
+        # classify_candidate's quotient is the only one until a row has its value;
+        # from then on compute_table computes one per candidate to test for the break.
+        # Both are called through the module globals, where they can be wrapped.
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("quotient_fraction", "classify_candidate"):
+            monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+        for mode in MODES:
+            compute_table(10, mode, DEFAULT_FIELDS, db)
+        assert calls == {"classify_candidate": 216, "quotient_fraction": 238}
 
     def test_max_d_validated(self, db):
         with pytest.raises(ValueError):
