@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -50,6 +51,24 @@ def _node_budget(args) -> int | None:
     if args.budget is not None and args.budget < 0:
         raise UsageError(f"--budget must be non-negative, got {args.budget}")
     return args.budget
+
+
+_MIXED = re.compile(r"\s*(-?)(\d+)\s+(\d+/\d+)\s*")
+
+
+def _parse_bound(text: str) -> Fraction:
+    """``--below``: a fraction, or the mixed form ``[-]W N/D`` that :func:`render_mixed` prints."""
+    mixed = _MIXED.fullmatch(text)
+    try:
+        if mixed:
+            sign, whole, part = mixed.groups()
+            magnitude = int(whole) + Fraction(part)
+            return -magnitude if sign else magnitude
+        if not re.search(r"\d\s+\d", text):  # digits apart are no number: "1 2 3" is not 123
+            return Fraction(text.replace(" ", ""))
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise UsageError(f"malformed bound {text!r}")
 
 
 def _parse_tvector(args) -> TVector:
@@ -96,12 +115,7 @@ def _emit_json(payload: dict, out: str | None = None) -> None:
 def cmd_enumerate(args) -> int:
     if args.d < 2 or args.d > 10:
         raise UsageError(f"d must lie in [2, 10], got {args.d}")
-    ceiling = None
-    if args.below is not None:
-        try:
-            ceiling = Fraction(args.below.replace(" ", ""))
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"malformed bound {args.below!r}") from None
+    ceiling = None if args.below is None else _parse_bound(args.below)
     entries = []
     for tv in enumerate_tvectors(args.d, ceiling):
         q = quotient_fraction(tv)
@@ -265,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="list solution T-vectors with their quotients")
     p_enum.add_argument("-d", type=int, required=True, help="number of lines (2..10)")
-    p_enum.add_argument("--below", help="only quotients <= this bound (e.g. --below=-34/15)")
+    p_enum.add_argument(
+        "--below", help='only quotients <= this bound (e.g. --below=-34/15 or --below="-2 4/15")'
+    )
     p_enum.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_enum.set_defaults(func=cmd_enumerate)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from functools import cache
 from math import comb, lcm
 from operator import neg
 
@@ -148,19 +149,33 @@ def enumerate_tvectors(d: int, q_ceiling: Fraction | None = None) -> list[TVecto
     The order is q(T) ascending with the descending lexicographic order
     on (t_d, ..., t_2) as tie-break, so repeated runs are byte-identical.
     With ``q_ceiling`` (an int or a Fraction) only solutions with
-    q(T) <= q_ceiling are kept.
+    q(T) <= q_ceiling are kept.  Each d is enumerated and sorted once per
+    process; every call returns a new list.
     """
     if d < 2:
         raise InvalidDegreeError(f"need at least 2 lines, got d={d}")
     if d > 10:
         warnings.warn(f"enumeration for d={d} exceeds the supported range d <= 10", stacklevel=2)
+    tvectors, quotients = _sorted_tspace(d)
+    if q_ceiling is None:
+        return list(tvectors)
+    num, den = q_ceiling.numerator, q_ceiling.denominator
+    kept = 0  # q = excess / points ascends, so the kept solutions are a prefix
+    for excess, points in quotients:
+        if excess * den > num * points:
+            break
+        kept += 1
+    return list(tvectors[:kept])
+
+
+@cache
+def _sorted_tspace(d: int) -> tuple[tuple[TVector, ...], tuple[tuple[int, int], ...]]:
+    """T-space of d in :func:`enumerate_tvectors` order, with each q(T) as (excess, points)."""
     budget = comb(d, 2)
     square = d * d
     # every s <= C(d,2) divides scale, so (d^2 - w) * (scale // s) is q * scale exactly
     scale = lcm(*range(1, budget + 1))
-    if q_ceiling is not None:
-        num, den = q_ceiling.numerator, q_ceiling.denominator
-    keyed: list[tuple[int, tuple[int, ...], TVector]] = []
+    keyed: list[tuple[int, tuple[int, ...], TVector, tuple[int, int]]] = []
     counts = [0] * (d - 1)
 
     def descend(k: int, remaining: int, points: int, weighted: int) -> None:
@@ -169,9 +184,10 @@ def enumerate_tvectors(d: int, q_ceiling: Fraction | None = None) -> list[TVecto
             counts[0] = remaining  # each double point uses exactly one pair
             points += remaining
             excess = square - weighted - 4 * remaining  # q = excess / points
-            if q_ceiling is None or excess * den <= num * points:
-                tie_break = tuple(map(neg, reversed(counts)))
-                keyed.append((excess * (scale // points), tie_break, TVector(d, tuple(counts))))
+            tie_break = tuple(map(neg, reversed(counts)))
+            keyed.append(
+                (excess * (scale // points), tie_break, TVector(d, tuple(counts)), (excess, points))
+            )
             return
         weight = comb(k, 2)
         for t in range(remaining // weight + 1):
@@ -182,4 +198,4 @@ def enumerate_tvectors(d: int, q_ceiling: Fraction | None = None) -> list[TVecto
     descend(d, budget, 0, 0)
     del descend  # it refers to itself, so only the cyclic GC would free it and its state
     keyed.sort()  # no two T share a tie-break, so no TVector is ever compared
-    return [tv for _, _, tv in keyed]
+    return tuple(entry[2] for entry in keyed), tuple(entry[3] for entry in keyed)

@@ -22,6 +22,7 @@ class TestUsageErrors:
         [
             (("enumerate", "-d", "1"), "d must lie in [2, 10], got 1"),
             (("enumerate", "-d", "10", "--below=x"), "malformed bound 'x'"),
+            (("enumerate", "-d", "10", "--below=1 2 3"), "malformed bound '1 2 3'"),
             (
                 ("filter", "-d", "6", "-t", "1,5,0,0,0"),
                 "T-vector violates the pair-count identity: sum t_k*C(k,2) - C(d,2) = +1",
@@ -51,9 +52,9 @@ class TestUsageErrors:
             (("table", "--fields", ","), "empty field list ','"),
             (("table", "--fields", "3,2,3"), "repeated field(s) [3] in '3,2,3'"),
         ],
-        ids=["degree", "bound", "identity", "tvector", "budget", "field", "field-too-long", "field-f4",
-             "too-many-lines", "max-d", "field-list", "unsupported-fields", "empty-fields", "comma-fields",
-             "repeated-fields"],
+        ids=["degree", "bound", "bound-digits-apart", "identity", "tvector", "budget", "field",
+             "field-too-long", "field-f4", "too-many-lines", "max-d", "field-list", "unsupported-fields",
+             "empty-fields", "comma-fields", "repeated-fields"],
     )
     def test_one_error_line_and_exit_two(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -77,6 +78,14 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "-d", "10", "--below=-34/15")
         assert code == 0
         assert "0,9,3,0,0,0,0,0,0" in out
+
+    @pytest.mark.parametrize("d", (9, 10))
+    @pytest.mark.parametrize("fmt", ("table", "csv", "json"))
+    def test_below_reads_the_mixed_form_it_prints(self, capsys, d, fmt):
+        # the json "mixed" field of -9/4 is "-2 1/4"; both degrees have rows at q = -9/4
+        mixed = run(capsys, "enumerate", "-d", str(d), "--format", fmt, "--below=-2 1/4")
+        assert mixed == run(capsys, "enumerate", "-d", str(d), "--format", fmt, "--below=-9/4")
+        assert mixed[0] == 0 and "9/4" in mixed[1]
 
     def test_bad_degree_usage_error(self, capsys):
         code, _, err = run(capsys, "enumerate", "-d", "1")

@@ -1,10 +1,11 @@
 import json
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
-from harbourne import criteria, pipeline
+from harbourne import criteria, pipeline, tspace
 from harbourne.criteria import MODE_ABSOLUTE, MODE_COMPLEX, MODES
 from harbourne.pipeline import (
     ST_EXCLUDED,
@@ -222,6 +223,20 @@ class TestTables:
         for mode in MODES:
             compute_table(10, mode, DEFAULT_FIELDS, db)
         assert calls == {"classify_candidate": 216, "quotient_fraction": 238}
+
+    def test_both_tables_build_each_tspace_once(self, db, monkeypatch):
+        # a fresh cache over the counted builder, looked up through the module global
+        build = tspace._sorted_tspace.__wrapped__
+        builds = Counter()
+
+        def counted(d):
+            builds[d] += 1
+            return build(d)
+
+        monkeypatch.setattr(tspace, "_sorted_tspace", cache(counted))
+        for mode in MODES:
+            compute_table(10, mode, DEFAULT_FIELDS, db)
+        assert builds == {d: 1 for d in range(2, 11)}
 
     def test_max_d_validated(self, db):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ import pytest
 from harbourne.criteria import MODE_ABSOLUTE, apply_all
 from harbourne.geometry import realize_over_prime_field
 from harbourne.incidence import SearchBudgetExceeded, feasible_arrangement
-from harbourne.tspace import TVector, enumerate_tvectors
+from harbourne.tspace import TVector, _sorted_tspace, enumerate_tvectors
 
 HESSE = TVector.from_mapping(9, {3: 12})
 
@@ -26,6 +26,8 @@ def _budget_exceeded():
 
 CALLS = {
     "enumerate_tvectors": lambda: enumerate_tvectors(8),
+    # the enumerator caches its result, so its builder is called past the cache
+    "tspace-build": lambda: _sorted_tspace.__wrapped__(8),
     # line profiles and their first mix (criteria._line_profiles, criteria._first_mix)
     "apply_all": lambda: apply_all(HESSE, MODE_ABSOLUTE),
     "feasible_arrangement": lambda: feasible_arrangement(HESSE),

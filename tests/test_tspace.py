@@ -1,12 +1,17 @@
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
+from functools import cache
 from math import comb
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from harbourne import tspace
 from harbourne.tspace import (
     InvalidDegreeError,
     TVector,
@@ -18,16 +23,15 @@ from harbourne.tspace import (
 )
 
 
-def brute_force_count(d):
-    """Naive nested-loop solution count: independent of the recursive enumerator."""
+@cache
+def brute_force_solutions(d):
+    """Naive nested-loop solution set: independent of the recursive enumerator."""
     pairs = comb(d, 2)
     weights = [comb(k, 2) for k in range(2, d + 1)]
     ranges = [range(pairs // w + 1) for w in weights]
-    count = 0
-    for combo in itertools.product(*ranges):
-        if sum(map(mul, weights, combo)) == pairs:
-            count += 1
-    return count
+    return frozenset(
+        combo for combo in itertools.product(*ranges) if sum(map(mul, weights, combo)) == pairs
+    )
 
 
 def test_d3_solutions():
@@ -84,8 +88,9 @@ def test_invalid_degree():
 
 
 def test_soft_cap_warns():
-    with pytest.warns(UserWarning):
-        enumerate_tvectors(11)
+    for _ in range(2):  # the second call is served from the cache and warns as well
+        with pytest.warns(UserWarning, match="d=11 exceeds"):
+            enumerate_tvectors(11)
 
 
 def test_every_enumerated_vector_satisfies_identity():
@@ -107,12 +112,18 @@ def test_pencil_quotient_is_zero():
 
 @pytest.mark.parametrize("d", range(2, 11))
 def test_enumeration_count_matches_brute_force(d):
-    assert len(enumerate_tvectors(d)) == brute_force_count(d)
+    assert len(enumerate_tvectors(d)) == len(brute_force_solutions(d))
 
 
 def reference_order(d, q_ceiling=None):
-    """T-space sorted by Fraction keys: q ascending, then (t_d, ..., t_2) descending."""
-    vs = enumerate_tvectors(d)
+    """T-space sorted by Fraction keys: q ascending, then (t_d, ..., t_2) descending.
+
+    For d <= 10 the set comes from the brute-force loop, not from the enumerator.
+    """
+    if d <= 10:
+        vs = [TVector(d, counts) for counts in brute_force_solutions(d)]
+    else:
+        vs = enumerate_tvectors(d)
     if q_ceiling is not None:
         vs = [tv for tv in vs if quotient_fraction(tv) <= q_ceiling]
     return sorted(vs, key=lambda tv: (quotient_fraction(tv), tuple(-c for c in reversed(tv.counts))))
@@ -136,6 +147,46 @@ def test_ceiling_keeps_the_boundary(ceiling):
     below = enumerate_tvectors(10, ceiling)
     assert below == reference_order(10, ceiling)
     assert any(quotient_fraction(tv) == ceiling for tv in below)
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_each_call_returns_a_new_list(d):
+    first = enumerate_tvectors(d)
+    second = enumerate_tvectors(d)
+    assert first == second
+    assert first is not second
+    first.reverse()
+    first.append(None)
+    second.clear()
+    assert enumerate_tvectors(d) == reference_order(d)
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_every_ceiling_keeps_the_solutions_up_to_it(d):
+    full = enumerate_tvectors(d)
+    quotients = sorted({quotient_fraction(tv) for tv in full})
+    for q in quotients:
+        assert enumerate_tvectors(d, q) == [tv for tv in full if quotient_fraction(tv) <= q]
+    assert enumerate_tvectors(d, quotients[0] - Fraction(1, 10**6)) == []
+    assert enumerate_tvectors(d, quotients[-1] + Fraction(1, 10**6)) == full
+
+
+def test_importing_and_loading_the_database_builds_no_tspace():
+    child = (
+        "import sys\n"
+        "sys.path[:0] = sys.argv[1:]\n"
+        "import harbourne\n"
+        "harbourne.builtin_certificates()\n"
+        "print(harbourne.tspace._sorted_tspace.cache_info().currsize)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", child, str(Path(tspace.__file__).parents[1])],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "0"
 
 
 def test_enumeration_deterministic():
