@@ -11,12 +11,18 @@ Usage errors have one path: the helpers and commands raise
 rule they break, and ``main`` prints ``error: ...`` and returns 2.
 ``scripts/reproduce_tables.py`` checks its table arguments with the same
 :func:`table_fields`.
+
+A reader that closes stdout early, as ``harbourne enumerate -d 10 | head``
+does, ends the command with exit 0 and no traceback: it chose to read no
+more, and the lines it did read are correct.  Exit 1 stays reserved for
+proven negatives.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -329,13 +335,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows up here, not at exit
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError as exc:  # a search tree deeper than Python's stack proves nothing
         print(f"inconclusive: search did not finish ({exc})", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except BrokenPipeError:
+        # the rest of the output has no reader; drop it so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

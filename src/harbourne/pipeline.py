@@ -10,6 +10,13 @@ realizable quotient is pinned down:
   realized(certificate)        explicit coordinates verify it,
   inconclusive                 feasible but unrealized, or budget ran out.
 
+A candidate meets the stages in this order, and the first that decides it
+ends its walk: the counting filters, the certificate database, the
+exhaustive incidence search, and in absolute mode the realization search
+over each prime field.  A verified certificate of T already proves what
+the incidence search would, so a certified T runs no search; in the
+default tables every candidate that passes the filters is certified.
+
 A table row is trustworthy only if nothing below its value is
 inconclusive; that integrity condition is checked and reported.
 """
@@ -231,7 +238,13 @@ def classify_candidate(
     db: CertificateDatabase | None = None,
     node_budget: int | None = None,
 ) -> CandidateStatus:
-    """Full disposition of one candidate T-vector in the given mode."""
+    """Full disposition of one candidate T-vector in the given mode.
+
+    Stages, in order: ``criteria.apply_all``; ``db.find`` over the field
+    kinds the mode admits; ``feasible_arrangement`` under ``node_budget``;
+    then, in absolute mode only, ``realize_over_prime_field`` for each
+    prime in ``fields`` whose plane has at least d lines.
+    """
     if db is None:
         db = builtin_certificates()
     q = quotient_fraction(tv)
@@ -239,6 +252,13 @@ def classify_candidate(
     verdict = criteria.apply_all(tv, mode)
     if verdict.is_excluded:
         return CandidateStatus(tv, q, ST_EXCLUDED, verdict.criterion, verdict.detail)
+
+    # a verified certificate's intersection points are a clique partition of
+    # K_d with this T, so it proves feasibility and no search is needed
+    kinds = ALL_KINDS if mode == criteria.MODE_ABSOLUTE else CHAR0_KINDS
+    cert = db.find(tv, kinds)
+    if cert is not None:
+        return CandidateStatus(tv, q, ST_REALIZED, None, "database certificate", cert)
 
     try:
         outcome = feasible_arrangement(tv, node_budget)
@@ -253,11 +273,6 @@ def classify_candidate(
             f"no clique partition of K_{tv.d} matches T "
             f"(exhaustive, {outcome.nodes_explored} nodes)",
         )
-
-    kinds = ALL_KINDS if mode == criteria.MODE_ABSOLUTE else CHAR0_KINDS
-    cert = db.find(tv, kinds)
-    if cert is not None:
-        return CandidateStatus(tv, q, ST_REALIZED, None, "database certificate", cert)
 
     if mode == criteria.MODE_ABSOLUTE:
         budget_hit = False

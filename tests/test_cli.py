@@ -1,11 +1,19 @@
+import fcntl
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from harbourne import pipeline
 from harbourne.cli import main
 from harbourne.incidence import CliquePartition, validate_partition
 from harbourne.tspace import TVector
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -358,10 +366,20 @@ class TestTable:
         assert code == 2
         assert "unsupported" in err
 
-    def test_starved_budget_is_integrity_error(self, capsys):
+    def test_starved_budget_is_integrity_error(self, capsys, monkeypatch):
+        # a certified T runs no search, so only an uncertified d = 2 meets the budget
+        from test_pipeline import without_d2_certificates
+
+        monkeypatch.setattr(pipeline, "builtin_certificates", without_d2_certificates)
         code, _, err = run(capsys, "table", "--max-d", "2", "--budget", "0")
         assert code == 4
         assert "integrity" in err
+
+    @pytest.mark.parametrize("mode", ["absolute", "complex"])
+    def test_zero_budget_changes_no_byte(self, capsys, mode):
+        # every entry is decided by a filter or a certificate, so no search meets the budget
+        argv = ("table", "--max-d", "10", "--mode", mode, "--audit", "--format", "json")
+        assert run(capsys, *argv, "--budget", "0") == run(capsys, *argv)
 
     def test_negative_budget_is_usage_error(self, capsys):
         code, out, err = run(capsys, "table", "--max-d", "2", "--budget", "-1")
@@ -388,3 +406,29 @@ class TestTable:
         )
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestClosedStdout:
+    """A reader that stops after one line is no proven negative (exit 1) and no crash."""
+
+    @pytest.mark.parametrize(
+        "argv", [("enumerate", "-d", "10"), ("table", "--max-d", "10", "--audit")], ids=["enumerate", "table"]
+    )
+    def test_reader_closes_after_one_line(self, argv):
+        read_end, write_end = os.pipe()
+        if hasattr(fcntl, "F_SETPIPE_SZ"):
+            # one page of pipe: the command cannot have written all of its output before the close
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "harbourne.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            text=True,
+        )
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as reader:
+            assert reader.readline()
+        _, err = child.communicate(timeout=60)
+        assert child.returncode != 1
+        assert "Traceback" not in err

@@ -18,6 +18,7 @@ from harbourne.pipeline import (
 )
 from harbourne.tspace import TVector
 from harbourne.geometry import CertificateError, realize_over_prime_field, verify_certificate
+from harbourne.incidence import feasible_arrangement, validate_partition
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,30 @@ class TestBuiltinDatabase:
             assert verify_certificate(db.get(f"pencil-{d}")).value == 0
 
 
+class TestCertificateSkipsSearch:
+    """A certified T is realized without a search; these pin that the skip loses nothing."""
+
+    @pytest.mark.parametrize("label", builtin_certificates().labels())
+    def test_certified_tvector_is_feasible_and_unfiltered(self, db, label):
+        cert = db.get(label)
+        tvector = cert.claimed_tvector
+        outcome = feasible_arrangement(tvector)
+        assert outcome.feasible and validate_partition(outcome.witness, tvector)
+        assert not criteria.apply_all(tvector, MODE_ABSOLUTE).is_excluded
+        complex_verdict = criteria.apply_all(tvector, MODE_COMPLEX)
+        if cert.field.kind in pipeline.CHAR0_KINDS:
+            assert not complex_verdict.is_excluded
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tables_run_no_search(self, db, monkeypatch, mode):
+        def no_search(*args):
+            raise AssertionError("the default tables must run no search")
+
+        monkeypatch.setattr(pipeline, "feasible_arrangement", no_search)
+        monkeypatch.setattr(pipeline, "realize_over_prime_field", no_search)
+        assert len(compute_table(10, mode, DEFAULT_FIELDS, db)) == 9
+
+
 class TestClassify:
     def test_fano_absolute_realized(self, db):
         st = classify_candidate(tv(7, {3: 7}), MODE_ABSOLUTE, (2, 3), db)
@@ -163,6 +188,16 @@ def _empty_db():
     from harbourne.pipeline import CertificateDatabase
 
     return CertificateDatabase([])
+
+
+def without_d2_certificates():
+    """Every builtin certificate except the two of d = 2, ``pencil-2`` and ``general-position-2``."""
+    from harbourne.pipeline import CertificateDatabase
+
+    full = builtin_certificates()
+    return CertificateDatabase(
+        [full.get(label) for label in full.labels() if full.get(label).claimed_tvector.d != 2]
+    )
 
 
 class TestTables:
@@ -244,11 +279,12 @@ class TestTables:
         with pytest.raises(ValueError):
             compute_table(1, MODE_ABSOLUTE, (2, 3), db)
 
-    def test_starved_budget_raises_integrity_error(self, db):
+    def test_starved_budget_raises_integrity_error(self):
+        # a certified T runs no search, so only an uncertified d = 2 meets the budget
         from harbourne.pipeline import TableIntegrityError
 
         with pytest.raises(TableIntegrityError):
-            compute_table(2, MODE_ABSOLUTE, (2, 3), db, node_budget=0)
+            compute_table(2, MODE_ABSOLUTE, (2, 3), without_d2_certificates(), node_budget=0)
 
     def test_missing_complex_witnesses_flag_the_row(self):
         # with only the pencil available over characteristic 0, everything
