@@ -128,28 +128,39 @@ def _line_profiles(tv: TVector) -> tuple[list[int], list[tuple[int, ...]]]:
     ``counts[i][a]`` is how often ``ks[a]`` occurs in profile i.  Parts are
     multiplicities m >= 2 with t_m > 0; a line meets at most t_m points of
     multiplicity m, and since each m counts the line itself, the parts
-    satisfy sum (m-1) = d-1.
+    satisfy sum (m-1) = d-1.  The profiles come in descending
+    lexicographic order: each count but the last is tried largest-first,
+    and the last is whatever d-1 leaves.
     """
     t = tv.counts
     ks = [k for k in range(tv.d, 1, -1) if t[k - 2]]
     counts: list[tuple[int, ...]] = []
-    per_class = [0] * len(ks)  # every loop below ends at count 0, so deeper entries are 0
-
-    def descend(idx: int, remaining: int) -> None:
-        if remaining == 0:
-            counts.append(tuple(per_class))
-            return
-        if idx == len(ks):
-            return
-        k = ks[idx]
-        max_count = min(t[k - 2], remaining // (k - 1))
-        for count in range(max_count, -1, -1):
-            per_class[idx] = count
-            descend(idx + 1, remaining - count * (k - 1))
-
-    descend(0, tv.d - 1)
-    del descend  # it refers to itself, so only the cyclic GC would free it and its state
-    return ks, counts
+    last = len(ks) - 1
+    if last < 0:
+        return ks, counts
+    vec = [0] * len(ks)
+    left = [tv.d - 1] * len(ks)  # left[a]: what the parts (m-1) for m in ks[a:] must add up to
+    a = 0
+    while True:
+        while a < last:
+            k = ks[a]
+            count = min(t[k - 2], left[a] // (k - 1))
+            vec[a] = count
+            left[a + 1] = left[a] - count * (k - 1)
+            a += 1
+        count, rest = divmod(left[last], ks[last] - 1)
+        if not rest and count <= t[ks[last] - 2]:
+            vec[last] = count
+            counts.append(tuple(vec))
+        # one part fewer for the deepest multiplicity before the last that has any
+        a = last - 1
+        while a >= 0 and not vec[a]:
+            a -= 1
+        if a < 0:
+            return ks, counts
+        vec[a] -= 1
+        left[a + 1] += ks[a] - 1
+        a += 1
 
 
 def _shape(ks: list[int], vec: tuple[int, ...]) -> str:
@@ -164,13 +175,14 @@ def _profile_mix(tv: TVector, ks: list[int], counts: list[tuple[int, ...]]) -> t
     jointly contain m * t_m occurrences of m (each of the t_m points of
     multiplicity m lies on exactly m lines).
     """
-    totals = tuple(k * tv.t(k) for k in ks)
+    d = tv.d
+    totals = [k * tv.counts[k - 2] for k in ks]
     # lines of a configuration tend to look alike, so the profiles nearest the
     # average line (totals / d) go first; the first mix then fits the point-pair
     # budgets more often
-    distance = [sum((tv.d * c - t) ** 2 for c, t in zip(vec, totals)) for vec in counts]
+    distance = [sum([(d * c - t) ** 2 for c, t in zip(vec, totals)]) for vec in counts]
     order = sorted(range(len(counts)), key=distance.__getitem__)
-    found = _first_mix(tv.d, [counts[i] for i in order], totals, len(ks))
+    found = _first_mix(d, [counts[i] for i in order], totals, len(ks))
     if found is None:
         return None
     mix = [0] * len(counts)
@@ -180,59 +192,81 @@ def _profile_mix(tv: TVector, ks: list[int], counts: list[tuple[int, ...]]) -> t
 
 
 def _first_mix(
-    lines: int, vectors: list[tuple[int, ...]], totals: tuple[int, ...], exact: int
+    lines: int, vectors: list[tuple[int, ...]], totals: list[int], exact: int
 ) -> tuple[int, ...] | None:
     """First x >= 0 with sum x = lines and sum_P x_P * vectors[P] fitting ``totals``.
 
     The first ``exact`` entries must be met exactly, the others only not
-    exceeded.  Counts are tried largest-first, one vector at a time.
+    exceeded.  Counts are tried largest-first, one vector at a time, in a
+    depth-first walk on flat int lists: ``left`` is what the totals still
+    allow, and ``mix[idx]`` the count vector idx takes.
     """
     if not vectors:
         return None
-    # the least and the most a line of vector idx or later adds to each entry
-    lows, highs = list(vectors), list(vectors)
-    for idx in range(len(vectors) - 2, -1, -1):
-        lows[idx] = tuple(map(min, lows[idx], lows[idx + 1]))
-        highs[idx] = tuple(map(max, highs[idx], highs[idx + 1]))
-    failed: set[tuple] = set()
-    mix: list[int] = []
     last = len(vectors) - 1
-
-    def fill(idx: int, lines_left: int, left: tuple[int, ...]) -> bool:
+    # for each vector but the last: its nonzero entries, and the least and
+    # the most (of an exact entry) a line of it or a later vector adds; only
+    # a nonzero least can rule a state out
+    terms: list[list[tuple[int, int]]] = [[]] * last
+    floors: list[list[tuple[int, int]]] = [[]] * last
+    ceilings: list[tuple[int, ...]] = [()] * last
+    low, high = vectors[last], vectors[last][:exact]
+    for idx in range(last - 1, -1, -1):
         vec = vectors[idx]
+        terms[idx] = [(a, c) for a, c in enumerate(vec) if c]
+        low = tuple(map(min, low, vec))
+        high = ceilings[idx] = tuple(map(max, high, vec))
+        floors[idx] = [(a, c) for a, c in enumerate(low) if c]
+    left = list(totals)
+    lines_left = lines
+    mix = [0] * (last + 1)
+    idx = 0
+    while True:
         if idx == last:
             # the last vector takes every remaining line
-            for a, (b, c) in enumerate(zip(left, vec)):
-                if b < lines_left * c or (a < exact and b > lines_left * c):
-                    return False
-            mix.append(lines_left)
-            return True
-        for a, (b, low, high) in enumerate(zip(left, lows[idx], highs[idx])):
-            if b < lines_left * low or (a < exact and b > lines_left * high):
-                return False
-        key = (idx, lines_left, left)
-        if key in failed:
-            return False
-        cap = lines_left
-        for c, b in zip(vec, left):
-            if c and b < c * cap:
-                cap = b // c
-        for x in range(cap, -1, -1):
-            mix.append(x)
-            if fill(idx + 1, lines_left - x, tuple([b - x * c for b, c in zip(left, vec)])):
-                return True
-            mix.pop()
-        failed.add(key)
-        return False
-
-    found = fill(0, lines, totals)
-    del fill  # it refers to itself, so only the cyclic GC would free it and its state
-    return tuple(mix) if found else None
+            for a, (b, c) in enumerate(zip(left, vectors[last])):
+                b -= lines_left * c
+                if b < 0 or (b and a < exact):
+                    break
+            else:
+                mix[last] = lines_left
+                return tuple(mix)
+        else:
+            for a, c in floors[idx]:
+                if left[a] < lines_left * c:
+                    break
+            else:
+                for b, c in zip(left, ceilings[idx]):
+                    if b > lines_left * c:
+                        break
+                else:
+                    count = lines_left
+                    for a, c in terms[idx]:
+                        if left[a] < c * count:
+                            count = left[a] // c
+                    if count:
+                        for a, c in terms[idx]:
+                            left[a] -= count * c
+                        lines_left -= count
+                    mix[idx] = count
+                    idx += 1
+                    continue
+        # back to the deepest vector with a line to give back
+        idx -= 1
+        while idx >= 0 and not mix[idx]:
+            idx -= 1
+        if idx < 0:
+            return None
+        mix[idx] -= 1
+        for a, c in terms[idx]:
+            left[a] += c
+        lines_left += 1
+        idx += 1
 
 
 def _pair_budgets(tv: TVector, ks: list[int]) -> list[tuple[int, int, int]]:
     """(a, b, pairs available) for each class pair a <= b, in lexicographic order."""
-    points = [tv.t(k) for k in ks]
+    points = [tv.counts[k - 2] for k in ks]
     return [
         (a, b, comb(ta, 2) if a == b else ta * points[b])
         for a, ta in enumerate(points)
@@ -255,26 +289,25 @@ def parity_profile_filter(tv: TVector) -> ExclusionVerdict:
     """
     require_solution(tv)
     ks, counts = _line_profiles(tv)
-    return _parity_verdict(tv, ks, counts, _profile_mix(tv, ks, counts))
+    if _profile_mix(tv, ks, counts) is None:
+        return _parity_exclusion(tv, ks, counts)
+    return ExclusionVerdict(None, "ok")
 
 
-def _parity_verdict(
-    tv: TVector, ks: list[int], counts: list[tuple[int, ...]], mix: tuple[int, ...] | None
-) -> ExclusionVerdict:
+def _parity_exclusion(tv: TVector, ks: list[int], counts: list[tuple[int, ...]]) -> ExclusionVerdict:
+    """The parity exclusion of a T whose profiles have no mix."""
     if not counts:
         return ExclusionVerdict(
             "parity_profile",
             f"d-1 = {tv.d - 1} is not a sum of parts (m-1) for m in {sorted(ks)} "
             f"with at most t_m parts of each size",
         )
-    if mix is None:
-        shapes = ", ".join(_shape(ks, vec) for vec in counts)
-        return ExclusionVerdict(
-            "parity_profile",
-            f"no assignment of the {len(counts)} admissible line profiles [{shapes}] "
-            f"to {tv.d} lines meets the incidence totals k*t_k",
-        )
-    return ExclusionVerdict(None, "ok")
+    shapes = ", ".join(_shape(ks, vec) for vec in counts)
+    return ExclusionVerdict(
+        "parity_profile",
+        f"no assignment of the {len(counts)} admissible line profiles [{shapes}] "
+        f"to {tv.d} lines meets the incidence totals k*t_k",
+    )
 
 
 def point_pairs_filter(tv: TVector) -> ExclusionVerdict:
@@ -300,28 +333,34 @@ def point_pairs_filter(tv: TVector) -> ExclusionVerdict:
     """
     require_solution(tv)
     ks, counts = _line_profiles(tv)
-    return _point_pairs_verdict(tv, ks, counts, _profile_mix(tv, ks, counts))
-
-
-def _point_pairs_verdict(
-    tv: TVector, ks: list[int], counts: list[tuple[int, ...]], first: tuple[int, ...] | None
-) -> ExclusionVerdict:
+    first = _profile_mix(tv, ks, counts)
     if first is None:
         return ExclusionVerdict(None, "inapplicable: no line-profile mix meets the incidence totals")
+    return _point_pairs_exclusion(tv, ks, counts, first) or ExclusionVerdict(None, "ok")
+
+
+def _point_pairs_exclusion(
+    tv: TVector, ks: list[int], counts: list[tuple[int, ...]], first: tuple[int, ...]
+) -> ExclusionVerdict | None:
+    """The point-pair exclusion of T, or None if a mix of its profiles fits the budgets."""
     budgets = _pair_budgets(tv, ks)
-    used = [(x, vec, _pair_use(vec, budgets)) for x, vec in zip(first, counts) if x]
-    spent = [sum(x * use[i] for x, _, use in used) for i in range(len(budgets))]
+    spent = [0] * len(budgets)
+    for x, vec in zip(first, counts):
+        if x:
+            for i, use in enumerate(_pair_use(vec, budgets)):
+                spent[i] += x * use
     overdrawn = [i for i, (need, (_, _, cap)) in enumerate(zip(spent, budgets)) if need > cap]
     if not overdrawn:
-        return ExclusionVerdict(None, "ok")
-    totals = tuple(k * tv.t(k) for k in ks) + tuple(cap for _, _, cap in budgets)
-    joined = [vec + _pair_use(vec, budgets) for vec in counts]
+        return None
+    uses = [_pair_use(vec, budgets) for vec in counts]
+    totals = [k * tv.counts[k - 2] for k in ks] + [cap for _, _, cap in budgets]
+    joined = [vec + use for vec, use in zip(counts, uses)]
     if _first_mix(tv.d, joined, totals, len(ks)) is not None:
-        return ExclusionVerdict(None, "ok")
+        return None
     # name the first budget the first mix overdraws
     i = overdrawn[0]
     a, b, cap = budgets[i]
-    spenders = [(x, vec, use[i]) for x, vec, use in used if use[i]]
+    spenders = [(x, vec, use[i]) for x, vec, use in zip(first, counts, uses) if x and use[i]]
     lines = " + ".join(
         f"{x} x {_shape(ks, vec)}" + (f" ({x * u})" if len(spenders) > 1 else "")
         for x, vec, u in spenders
@@ -377,6 +416,10 @@ def _hirzebruch_verdict(tv: TVector) -> ExclusionVerdict:
     return ExclusionVerdict(None, "ok")
 
 
+def _mode_error(mode: str) -> ValueError:
+    return ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 def apply_all(tv: TVector, mode: str) -> ExclusionVerdict:
     """Run the filters cheapest-first; return the first exclusion, else passed.
 
@@ -386,10 +429,11 @@ def apply_all(tv: TVector, mode: str) -> ExclusionVerdict:
     exclusion an earlier filter makes keeps its criterion.  One pass over
     the counts checks the pair-count identity and lists the multiplicities
     for the two cheap filters, and the line profiles and their first mix
-    are computed once for the two profile filters.
+    are computed once for the two profile filters, which build a verdict
+    only to exclude.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise _mode_error(mode)
     d = k = tv.d
     imbalance = -(d * (d - 1) // 2)
     mults: list[int] = []  # descending
@@ -407,9 +451,10 @@ def apply_all(tv: TVector, mode: str) -> ExclusionVerdict:
         return verdict
     ks, counts = _line_profiles(tv)
     first = _profile_mix(tv, ks, counts)
-    verdict = _parity_verdict(tv, ks, counts, first)
-    if not verdict.is_excluded and mode == MODE_COMPLEX:
+    if first is None:
+        return _parity_exclusion(tv, ks, counts)
+    if mode == MODE_COMPLEX:
         verdict = _hirzebruch_verdict(tv)
-    if not verdict.is_excluded:
-        verdict = _point_pairs_verdict(tv, ks, counts, first)
-    return verdict if verdict.is_excluded else ExclusionVerdict(None, "all filters passed")
+        if verdict.is_excluded:
+            return verdict
+    return _point_pairs_exclusion(tv, ks, counts, first) or ExclusionVerdict(None, "all filters passed")

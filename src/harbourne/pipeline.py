@@ -11,11 +11,14 @@ realizable quotient is pinned down:
   inconclusive                 feasible but unrealized, or budget ran out.
 
 A candidate meets the stages in this order, and the first that decides it
-ends its walk: the counting filters, the certificate database, the
+ends its walk: the certificate database, the counting filters, the
 exhaustive incidence search, and in absolute mode the realization search
-over each prime field.  A verified certificate of T already proves what
-the incidence search would, so a certified T runs no search; in the
-default tables every candidate that passes the filters is certified.
+over each prime field.  Each filter is a necessary condition for
+realizability over every field the mode admits (in complex mode only Q
+and Q(w) certificates count, and the Hirzebruch bound holds over C), so a
+certified T passes them all; and a verified certificate already proves
+what the incidence search would.  So a certified T runs no filter and no
+search, and in the default tables every realized candidate is a lookup.
 
 A table row is trustworthy only if nothing below its value is
 inconclusive; that integrity condition is checked and reported.
@@ -124,13 +127,14 @@ class CertificateDatabase:
 
     def __init__(self, certificates: list[Certificate]):
         self.certificates: dict[str, Certificate] = {}
-        self._by_tvector: dict[TVector, list[Certificate]] = {}  # each list in DB order
+        # keyed by T's counts, which fix d and hash faster than the TVector
+        self._by_counts: dict[tuple[int, ...], list[Certificate]] = {}  # each list in DB order
         for cert in certificates:
             if cert.label in self.certificates:
                 raise ValueError(f"duplicate certificate label {cert.label!r}")
             report = verify_certificate(cert)
             self.certificates[cert.label] = cert
-            self._by_tvector.setdefault(report.tvector, []).append(cert)
+            self._by_counts.setdefault(report.tvector.counts, []).append(cert)
 
     def get(self, label: str) -> Certificate:
         return self.certificates[label]
@@ -140,7 +144,7 @@ class CertificateDatabase:
 
     def find(self, tv: TVector, kinds: tuple[str, ...]) -> Certificate | None:
         """First certificate, in DB order, of T whose field kind is admissible."""
-        for cert in self._by_tvector.get(tv, ()):
+        for cert in self._by_counts.get(tv.counts, ()):
             if cert.field.kind in kinds:
                 return cert
         return None
@@ -240,25 +244,29 @@ def classify_candidate(
 ) -> CandidateStatus:
     """Full disposition of one candidate T-vector in the given mode.
 
-    Stages, in order: ``criteria.apply_all``; ``db.find`` over the field
-    kinds the mode admits; ``feasible_arrangement`` under ``node_budget``;
+    Stages, in order: ``db.find`` over the field kinds the mode admits;
+    ``criteria.apply_all``; ``feasible_arrangement`` under ``node_budget``;
     then, in absolute mode only, ``realize_over_prime_field`` for each
-    prime in ``fields`` whose plane has at least d lines.
+    prime in ``fields`` whose plane has at least d lines.  An unknown mode
+    raises ``apply_all``'s ``ValueError`` before any lookup.
     """
+    if mode not in criteria.MODES:
+        raise criteria._mode_error(mode)
     if db is None:
         db = builtin_certificates()
     q = quotient_fraction(tv)
 
+    # every filter is a necessary condition for realizability over each field
+    # the mode admits, so a verified certificate's T passes them all; and its
+    # intersection points are a clique partition of K_d with this T, so it
+    # proves feasibility and no search is needed either
+    cert = db.find(tv, ALL_KINDS if mode == criteria.MODE_ABSOLUTE else CHAR0_KINDS)
+    if cert is not None:
+        return CandidateStatus(tv, q, ST_REALIZED, None, "database certificate", cert)
+
     verdict = criteria.apply_all(tv, mode)
     if verdict.is_excluded:
         return CandidateStatus(tv, q, ST_EXCLUDED, verdict.criterion, verdict.detail)
-
-    # a verified certificate's intersection points are a clique partition of
-    # K_d with this T, so it proves feasibility and no search is needed
-    kinds = ALL_KINDS if mode == criteria.MODE_ABSOLUTE else CHAR0_KINDS
-    cert = db.find(tv, kinds)
-    if cert is not None:
-        return CandidateStatus(tv, q, ST_REALIZED, None, "database certificate", cert)
 
     try:
         outcome = feasible_arrangement(tv, node_budget)

@@ -100,7 +100,7 @@ class TestBuiltinDatabase:
 
 
 class TestCertificateSkipsSearch:
-    """A certified T is realized without a search; these pin that the skip loses nothing."""
+    """A certified T is realized without a filter or a search; these pin that the skip loses nothing."""
 
     @pytest.mark.parametrize("label", builtin_certificates().labels())
     def test_certified_tvector_is_feasible_and_unfiltered(self, db, label):
@@ -121,6 +121,23 @@ class TestCertificateSkipsSearch:
         monkeypatch.setattr(pipeline, "feasible_arrangement", no_search)
         monkeypatch.setattr(pipeline, "realize_over_prime_field", no_search)
         assert len(compute_table(10, mode, DEFAULT_FIELDS, db)) == 9
+
+    @pytest.mark.parametrize("mode, filtered", [(MODE_ABSOLUTE, 76), (MODE_COMPLEX, 116)])
+    def test_tables_filter_only_the_uncertified(self, db, monkeypatch, mode, filtered):
+        # 88 and 128 audit entries, 12 of them realized by a certificate in each mode
+        filter_all = criteria.apply_all
+        calls = []
+
+        def counted(vector, mode):
+            calls.append(vector)
+            return filter_all(vector, mode)
+
+        monkeypatch.setattr(pipeline.criteria, "apply_all", counted)
+        audit = [st for row in compute_table(10, mode, DEFAULT_FIELDS, db) for st in row.audit]
+        realized = [st.tvector for st in audit if st.status == ST_REALIZED]
+        assert len(realized) == 12
+        assert len(calls) == len(audit) - len(realized) == filtered
+        assert not set(calls) & set(realized)
 
 
 class TestClassify:
@@ -175,6 +192,16 @@ class TestClassify:
         # realizable over F_3 but not over C; complex mode may not claim it
         st = classify_candidate(tv(10, {3: 9, 4: 3}), MODE_COMPLEX, (2, 3), db)
         assert st.status == ST_EXCLUDED  # hirzebruch kills it first
+
+    @pytest.mark.parametrize("vector", [tv(2, {2: 1}), tv(10, {3: 7, 4: 4})], ids=["certified", "uncertified"])
+    def test_unknown_mode_raises_the_filters_error(self, vector):
+        # the lookup comes first, but a certified T must not make "real" a mode
+        with pytest.raises(ValueError) as expected:
+            criteria.apply_all(vector, "real")
+        assert str(expected.value) == "mode must be one of ('absolute', 'complex'), got 'real'"
+        with pytest.raises(ValueError) as raised:
+            classify_candidate(vector, "real")
+        assert str(raised.value) == str(expected.value)
 
     def test_realized_roundtrip(self, db):
         st = classify_candidate(tv(9, {3: 12}), MODE_ABSOLUTE, (2, 3), db)
@@ -272,6 +299,10 @@ class TestTables:
         for mode in MODES:
             compute_table(10, mode, DEFAULT_FIELDS, db)
         assert builds == {d: 1 for d in range(2, 11)}
+
+    def test_unknown_mode_raises_the_filters_error(self, db):
+        with pytest.raises(ValueError, match=r"^mode must be one of \('absolute', 'complex'\), got 'real'$"):
+            compute_table(2, "real", DEFAULT_FIELDS, db)
 
     def test_max_d_validated(self, db):
         with pytest.raises(ValueError):

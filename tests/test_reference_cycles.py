@@ -1,10 +1,10 @@
 """The searches leave no reference cycles behind.
 
-The enumerator, the filters' line-profile helpers and the realization
-search recurse through a nested function that refers to itself.  Unless
-that reference is dropped when the search ends, every call leaves a
-cycle holding the search's state until the cyclic GC runs.  The
-incidence search keeps its own stack and must leave none either.
+The enumerator and the realization search recurse through a nested
+function that refers to itself.  Unless that reference is dropped when
+the search ends, every call leaves a cycle holding the search's state
+until the cyclic GC runs.  The filters' line-profile walks and the
+incidence search keep their own state and must leave none either.
 """
 
 import gc
