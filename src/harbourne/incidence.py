@@ -11,7 +11,7 @@ slot already containing its first line or seeds the first empty slot of
 some size (identical empty slots are interchangeable).  The state is
 one int bitmask of lines per slot, the slots of each line in joining
 order, and each line's committed degree.  Every join and unjoin also
-keeps three summaries current, so no node rescans the state:
+keeps four summaries current, so no node rescans the state:
 
 * ``met[line]``, the other lines sharing a slot with it; a pair (i, j)
   is covered iff ``met[i]`` has bit j.  Unjoining clears the bits of the
@@ -22,7 +22,10 @@ keeps three summaries current, so no node rescans the state:
 * ``unseeded[k]``, the number of empty slots of size k.  Slots of one
   size form a block, seeding takes the block's first empty slot and
   unseeding is last in, first out, so the empty ones are the block's
-  tail and the next seed is ``block_end[k] - unseeded[k]``.
+  tail and the next seed is ``block_end[k] - unseeded[k]``;
+* ``allowed[line]``, bit k set iff the line may still join a slot of size
+  k under the degree and share prunes below, so candidates, seeding and
+  the completability check each test one bit.
 
 Isomorph rejection (McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 26 (1998)) works stage by stage, where stage i is the pairs
@@ -199,97 +202,23 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
         block_end[size] = slot + 1
         unseeded[size] += 1
     all_lines = (1 << d) - 1
+    seed_sizes = [size for size in range(d, 1, -1) if unseeded[size]]  # the sizes T has, descending
+    # allowed[line] is deg_ok[committed[line]], the sizes that keep the remaining
+    # degree representable, ANDed with share_mask[k] for each size-k slot of the
+    # line, the sizes k' with (k-1)(k'-1) + 2 <= s; shares[line] stacks that AND
     degrees = _representable_degrees(tv)
-    reachable = [degrees >> v & 1 for v in range(d)]
-    max_deg = d - 1
-
-    # two slots may share a line only if (k1-1)(k2-1) + 2 <= s; rows and
-    # columns only for the slot sizes T has
-    present = [size for size in range(d + 1) if unseeded[size]]
-    share_ok: list[list[bool]] = [[]] * (d + 1)
-    for k1 in present:
-        row = share_ok[k1] = [False] * (d + 1)
-        for k2 in present:
-            row[k2] = (k1 - 1) * (k2 - 1) + 2 <= s
+    deg_ok = [sum(1 << k for k in seed_sizes if c + k <= d and degrees >> d - c - k & 1) for c in range(d)]
+    share_mask = [0] * (d + 1)
+    for k1 in seed_sizes:
+        share_mask[k1] = sum(1 << k2 for k2 in seed_sizes if (k1 - 1) * (k2 - 1) + 2 <= s)
+    shares = [[-1] for _ in range(d)]
+    allowed = [deg_ok[0]] * d
 
     pairs = _pairs(d)
     nodes = 0
     # twins[i]: bit j set iff lines j-1 and j are twins at stage i (see the module docstring)
     twins = [0] * d
     twins[0] = (1 << d) - 4
-
-    def fits(line: int, size: int) -> bool:
-        # the degree and share checks for line joining a slot of this size
-        new_committed = committed[line] + size - 1
-        if new_committed > max_deg or not reachable[max_deg - new_committed]:
-            return False
-        for other in line_slots[line]:
-            if not share_ok[size][sizes[other]]:
-                return False
-        return True
-
-    def join(line: int, slot: int) -> None:
-        nonlocal partial
-        members = slot_lines[slot]
-        if not members:
-            unseeded[sizes[slot]] -= 1
-        met[line] |= members
-        bit = 1 << line
-        while members:
-            low = members & -members
-            met[low.bit_length() - 1] |= bit
-            members ^= low
-        slot_lines[slot] |= bit
-        committed[line] += sizes[slot] - 1
-        line_slots[line].append(slot)
-        if slot_lines[slot].bit_count() < sizes[slot]:
-            partial |= 1 << slot
-        else:
-            partial &= ~(1 << slot)
-
-    def unjoin(line: int) -> None:
-        nonlocal partial
-        slot = line_slots[line].pop()
-        committed[line] -= sizes[slot] - 1
-        bit = 1 << line
-        slot_lines[slot] &= ~bit
-        members = slot_lines[slot]
-        if members:
-            partial |= 1 << slot
-        else:
-            partial &= ~(1 << slot)
-            unseeded[sizes[slot]] += 1
-        met[line] &= ~members  # exact: line meets each of them in this slot only
-        while members:
-            low = members & -members
-            met[low.bit_length() - 1] &= ~bit
-            members ^= low
-
-    def slots_completable() -> bool:
-        # every partially filled slot still needs enough joinable lines
-        todo = partial
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            slot = low.bit_length() - 1
-            size = sizes[slot]
-            members = blocked = slot_lines[slot]
-            need = size - members.bit_count()
-            while members:  # a line that met a member may not join
-                low = members & -members
-                blocked |= met[low.bit_length() - 1]
-                members ^= low
-            free = all_lines & ~blocked
-            if free.bit_count() < need:
-                return False
-            while need and free:
-                low = free & -free
-                if fits(low.bit_length() - 1, size):
-                    need -= 1
-                free ^= low
-            if need:
-                return False
-        return True
 
     def split_twins(line: int) -> None:
         # stage line+1 keeps the twins of stage `line` that line's slots do not tell apart
@@ -334,17 +263,19 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
                 first += 1
             slots_of_i = slots_of_i[first:]
         candidates: list[int] = []
+        allowed_j = allowed[j]
         for slot in slots_of_i:
-            if partial >> slot & 1 and not met[j] & slot_lines[slot] and fits(j, sizes[slot]):
+            if partial >> slot & 1 and not met[j] & slot_lines[slot] and allowed_j >> sizes[slot] & 1:
                 candidates.append(slot)
         largest_seed = d
         if i == 0 and line_slots[0]:
             # line 0's slots are consecutive blocks: seed one no larger, once the latest is full
             latest = line_slots[0][-1]
             largest_seed = 0 if partial >> latest & 1 else sizes[latest]
-        for size in range(largest_seed, 1, -1):
+        seedable = allowed[i] & allowed_j & (2 << largest_seed) - 1
+        for size in seed_sizes:
             left = unseeded[size]
-            if left and fits(i, size) and fits(j, size):
+            if left and seedable >> size & 1:
                 candidates.append(block_end[size] - left)  # the first empty slot of this size
 
         # try the candidates in order; when they run out, return to the parent
@@ -359,16 +290,83 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
                 nodes += 1
                 if nodes > budget:
                     raise SearchBudgetExceeded(nodes)
-                # seeding with i leaves j's degree, slots and pair (i, j) as they were,
-                # so j may still join
-                seeded = not slot_lines[slot]
-                if seeded:
-                    join(i, slot)
-                join(j, slot)
-                if slots_completable():
+                size = sizes[slot]
+                members = slot_lines[slot]
+                seeded = not members
+                if seeded:  # i seeds the slot alone: met, j and the pair (i, j) stay as they were
+                    unseeded[size] -= 1
+                    members = 1 << i
+                    committed[i] += size - 1
+                    line_slots[i].append(slot)
+                    share = shares[i][-1] & share_mask[size]
+                    shares[i].append(share)
+                    allowed[i] = deg_ok[committed[i]] & share
+                met[j] |= members
+                bit = 1 << j
+                rest = members
+                while rest:
+                    low = rest & -rest
+                    met[low.bit_length() - 1] |= bit
+                    rest ^= low
+                members |= bit
+                slot_lines[slot] = members
+                committed[j] += size - 1
+                line_slots[j].append(slot)
+                share = shares[j][-1] & share_mask[size]
+                shares[j].append(share)
+                allowed[j] = deg_ok[committed[j]] & share
+                if members.bit_count() < size:
+                    partial |= 1 << slot
+                else:
+                    partial &= ~(1 << slot)
+                # every partially filled slot still needs enough joinable lines
+                todo = partial
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    part = low.bit_length() - 1
+                    part_size = sizes[part]
+                    members = blocked = slot_lines[part]
+                    need = part_size - members.bit_count()
+                    while members:  # a line that met a member may not join
+                        low = members & -members
+                        blocked |= met[low.bit_length() - 1]
+                        members ^= low
+                    free = all_lines & ~blocked
+                    if free.bit_count() >= need:
+                        while need and free:
+                            low = free & -free
+                            if allowed[low.bit_length() - 1] >> part_size & 1:
+                                need -= 1
+                            free ^= low
+                    if need:
+                        break
+                else:
                     stack.append((ptr, i, j, options, seeded))
                     stage = i
                     break  # enter the child
-            unjoin(j)
-            if seeded:
-                unjoin(i)
+            # j leaves the slot it joined last, and i too if it seeded it
+            slot = line_slots[j].pop()
+            size = sizes[slot]
+            committed[j] -= size - 1
+            shares[j].pop()
+            allowed[j] = deg_ok[committed[j]] & shares[j][-1]
+            bit = 1 << j
+            members = slot_lines[slot] ^ bit
+            met[j] &= ~members  # exact: j meets each of them in this slot only
+            rest = members
+            while rest:
+                low = rest & -rest
+                met[low.bit_length() - 1] &= ~bit
+                rest ^= low
+            if seeded:  # i leaves the slot alone, so met does not change
+                slot_lines[slot] = 0
+                unseeded[size] += 1
+                partial &= ~(1 << slot)
+                line_slots[i].pop()
+                committed[i] -= size - 1
+                shares[i].pop()
+                allowed[i] = deg_ok[committed[i]] & shares[i][-1]
+            else:
+                slot_lines[slot] = members
+                partial |= 1 << slot

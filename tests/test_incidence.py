@@ -180,6 +180,20 @@ def test_budget_exhaustion_raises():
     assert excinfo.value.nodes == 4
 
 
+@pytest.mark.parametrize(
+    "vector, nodes, feasible",
+    [(tv(9, {3: 12}), 41, True), (tv(10, {3: 7, 4: 4}), 97, False)],
+    ids=["dual-hesse-witness", "d10-exhausted"],
+)
+def test_budget_boundary_is_exact(vector, nodes, feasible):
+    """A budget of exactly the tree's nodes decides; one fewer raises after that many nodes."""
+    outcome = feasible_arrangement(vector, node_budget=nodes)
+    assert (outcome.feasible, outcome.nodes_explored) == (feasible, nodes)
+    with pytest.raises(SearchBudgetExceeded) as excinfo:
+        feasible_arrangement(vector, node_budget=nodes - 1)
+    assert excinfo.value.nodes == nodes
+
+
 def test_negative_budget_is_refused_before_searching():
     with pytest.raises(ValueError, match="node budget must be non-negative, got -1"):
         feasible_arrangement(tv(3, {3: 1}), node_budget=-1)
@@ -208,7 +222,8 @@ def test_feasibility_matches_brute_force(d):
 
 
 # every combinatorially infeasible T-vector with d <= 8, by d; every other solution
-# is feasible.  Decided by the exhaustive search without the canonical star of line 0.
+# is feasible.  The exact-cover oracle in test_exact_cover_oracle.py, which shares
+# no code with the incidence search, decides the same.
 INFEASIBLE_UP_TO_EIGHT_LINES = {
     4: {"0,2,0"},
     5: {"1,1,1,0", "1,3,0,0"},
