@@ -259,6 +259,21 @@ class TestVerify:
         assert code == 0
         assert "-34/15" in out
 
+    def test_builtin_wire_forms_and_verify_output_are_pinned(self, capsys, tmp_path):
+        """Every builtin's JSON, in DB order, and its `verify` stdout after a file round trip."""
+        db = pipeline.builtin_certificates()
+        digest = hashlib.sha256()
+        for label in db.labels():
+            wire = json.dumps(db.get(label).to_json())
+            path = tmp_path / "cert.json"
+            path.write_text(wire)
+            code, out, err = run(capsys, "verify", str(path))
+            assert (code, err) == (0, ""), label
+            digest.update(f"{wire}\n{out}".encode())
+        assert len(db.labels()) == 29
+        pin = "5c9f6966a86d9b76fe309fb72bf0f5bca78924cafba5499df6136bb35207b7c2"
+        assert digest.hexdigest() == pin
+
     def test_corrupted_certificate_fails(self, capsys, tmp_path):
         from harbourne.pipeline import builtin_certificates
 
