@@ -1,11 +1,7 @@
 """Exact computation of linear Harbourne constants for up to ten lines."""
 
 from .criteria import MODE_ABSOLUTE, MODE_COMPLEX, ExclusionVerdict, apply_all
-from .exactnum import (
-    EisensteinRational,
-    FieldDescriptor,
-    PrimeFieldElement,
-)
+from .exactnum import FieldDescriptor
 from .geometry import (
     Certificate,
     realize_over_prime_field,
@@ -20,12 +16,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate",
     "CliquePartition",
-    "EisensteinRational",
     "ExclusionVerdict",
     "FieldDescriptor",
     "MODE_ABSOLUTE",
     "MODE_COMPLEX",
-    "PrimeFieldElement",
     "SearchOutcome",
     "TVector",
     "apply_all",

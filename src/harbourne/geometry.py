@@ -7,7 +7,8 @@ Certificates are verified by determinants over Z, Z[w] or Z/p: each
 line's denominators are cleared once, two lines are distinct iff their
 cross product is nonzero, and line k passes through the meet of lines i
 and j iff det(l_i, l_j, l_k) = 0, so the multiplicities need no normal
-forms.
+forms.  The clearing and the ring come from the field kind's record in
+``exactnum``, so nothing here branches on the kind.
 
 The F_p realization search runs on the integer incidence table of
 PG(2, p) and returns the residue triples of the lines it chose; callers
@@ -43,15 +44,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from operator import add, mul, sub
 
 from ._value import Value
 from .exactnum import (
-    EISENSTEIN,
-    PRIME,
-    RATIONAL,
-    ExactScalar,
+    _KINDS,
     FieldDescriptor,
     UnsupportedFieldError,
     scalar_from_json,
@@ -209,7 +205,7 @@ def realize_over_prime_field(
 
 
 class Certificate(Value):
-    """Serializable realization evidence: a field and coordinates parsed by ``scalar_from_json``."""
+    """Serializable realization evidence: a field and its plain values from ``scalar_from_json``."""
 
     __slots__ = ("label", "field", "lines", "claimed_tvector")
 
@@ -217,7 +213,7 @@ class Certificate(Value):
         self,
         label: str,
         field: FieldDescriptor,
-        lines: tuple[tuple[ExactScalar, ExactScalar, ExactScalar], ...],
+        lines: tuple[tuple, ...],
         claimed_tvector: TVector | None = None,
     ) -> None:
         object.__setattr__(self, "label", label)
@@ -233,7 +229,7 @@ class Certificate(Value):
         out = {
             "label": self.label,
             "field": self.field.to_json(),
-            "lines": [[scalar_to_json(c) for c in line] for line in self.lines],
+            "lines": [[scalar_to_json(c, self.field) for c in line] for line in self.lines],
         }
         if self.claimed_tvector is not None:
             out["claimed_tvector"] = self.claimed_tvector.encode()
@@ -241,10 +237,14 @@ class Certificate(Value):
 
     @classmethod
     def from_json(cls, data: dict) -> "Certificate":
+        if not isinstance(data, dict):
+            raise CertificateError(f"certificate must be an object, got {data!r}")
         try:
             label, raw_field, raw_lines = data["label"], data["field"], data["lines"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise CertificateError(f"malformed certificate: missing {exc}") from None
+        if not isinstance(label, str):
+            raise CertificateError(f"label: expected a string, got {label!r}")
         try:
             field = FieldDescriptor.from_json(raw_field)
         except UnsupportedFieldError as exc:
@@ -274,7 +274,7 @@ def _parse_lines(field: FieldDescriptor, lines) -> tuple:
         for j, value in enumerate(line):
             try:
                 triple.append(scalar_from_json(value, field))
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise CertificateError(f"lines[{i}][{j}]: {exc}") from None
         parsed.append(tuple(triple))
     return tuple(parsed)
@@ -288,57 +288,15 @@ class VerificationReport(Value):
         object.__setattr__(self, "value", value)
 
 
-def _eisenstein_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    # (a1 + b1 w)(a2 + b2 w) = (a1 a2 - b1 b2) + (a1 b2 + a2 b1 - b1 b2) w, as w^2 = -1 - w
-    (a1, b1), (a2, b2) = x, y
-    return (a1 * a2 - b1 * b2, a1 * b2 + a2 * b1 - b1 * b2)
-
-
-def _eisenstein_add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _eisenstein_sub(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _cleared_line(field: FieldDescriptor, line) -> tuple:
-    """A certificate line with its denominators cleared: a triple over Z, Z[w] or Z/p.
-
-    Scaling a line by a nonzero constant leaves the line unchanged, so Q
-    becomes Z (ints), Q(w) becomes Z[w] (a + b*w as an int pair (a, b))
-    and F_p keeps its residues.
-    """
-    if field.kind == PRIME:
-        return tuple(c.residue for c in line)
-    if field.kind == RATIONAL:
-        scale = lcm(*(c.denominator for c in line))
-        return tuple(c.numerator * (scale // c.denominator) for c in line)
-    parts = [x for c in line for x in (c.a, c.b)]
-    scale = lcm(*(x.denominator for x in parts))
-    ints = [x.numerator * (scale // x.denominator) for x in parts]
-    return tuple(zip(ints[::2], ints[1::2]))
-
-
-def _ring(field: FieldDescriptor):
-    """(times, plus, minus, is_zero) on the entries of cleared lines over ``field``."""
-    if field.kind == EISENSTEIN:
-        return _eisenstein_mul, _eisenstein_add, _eisenstein_sub, (0, 0).__eq__
-    if field.kind == PRIME:
-        p = field.p
-        return mul, add, sub, lambda x: x % p == 0
-    return mul, add, sub, (0).__eq__
-
-
 def _point_multiplicities(ring, lines: list[tuple]) -> list[int]:
     """Multiplicity of each singular point of the cleared ``lines``, by determinants.
 
-    ``ring`` is :func:`_ring` of the lines' field.  Z, Z[w] and Z/p are
-    integral domains, so two lines are distinct iff their cross product
-    is nonzero, and line k passes through the meet of lines i and j iff
-    dot(cross(l_i, l_j), l_k) = 0.  Pairs are visited in lexicographic
-    order; a point is counted at the first pair of lines through it, so
-    only later lines need a test.
+    ``ring`` is ``(times, plus, minus, is_zero)`` of the lines' ring.  Z,
+    Z[w] and Z/p are integral domains, so two lines are distinct iff their
+    cross product is nonzero, and line k passes through the meet of lines
+    i and j iff dot(cross(l_i, l_j), l_k) = 0.  Pairs are visited in
+    lexicographic order; a point is counted at the first pair of lines
+    through it, so only later lines need a test.
     """
     times, plus, minus, is_zero = ring
     d = len(lines)
@@ -373,14 +331,15 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     The multiplicities come from exact determinants over Z, Z[w] or Z/p
     (see :func:`_point_multiplicities`), with no normalized points.
     """
-    ring = _ring(cert.field)
+    kind = _KINDS[cert.field.kind]
+    ring = kind.ring(cert.field.p)
     is_zero = ring[3]
     try:
         lines = []
         for line in cert.lines:
             if len(line) != 3:
                 raise InvalidConfigurationError(f"expected 3 coordinates, got {len(line)}")
-            cleared = _cleared_line(cert.field, line)
+            cleared = kind.clear(line)
             if all(map(is_zero, cleared)):
                 raise InvalidConfigurationError("all-zero coordinate triple")
             lines.append(cleared)

@@ -32,7 +32,7 @@ from math import comb
 
 from . import criteria
 from ._value import Value
-from .exactnum import EISENSTEIN, PRIME, RATIONAL, FieldDescriptor
+from .exactnum import _KINDS, FieldDescriptor
 from .geometry import (
     Certificate,
     _plane_residues,
@@ -49,8 +49,8 @@ ST_INFEASIBLE = "combinatorially_infeasible"
 ST_REALIZED = "realized"
 ST_INCONCLUSIVE = "inconclusive"
 
-CHAR0_KINDS = (RATIONAL, EISENSTEIN)
-ALL_KINDS = (RATIONAL, PRIME, EISENSTEIN)
+ALL_KINDS = tuple(_KINDS)
+CHAR0_KINDS = tuple(kind for kind, record in _KINDS.items() if record.characteristic == 0)
 
 
 class TableIntegrityError(RuntimeError):
@@ -224,8 +224,8 @@ def builtin_certificates() -> CertificateDatabase:
     """The verified certificate database backing the tables, built once per process.
 
     The entries are data in the wire forms, ints and (a, b) pairs, which
-    ``Certificate`` parses into field scalars.  Each is verified on load; a
-    failing entry aborts startup.
+    ``Certificate`` parses into plain values of their fields.  Each is
+    verified on load; a failing entry aborts startup.
     """
     return CertificateDatabase(
         [

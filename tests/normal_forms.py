@@ -5,12 +5,14 @@ T-vector off exact determinants over cleared integers.  This module
 computes the same numbers by a second algorithm: every line is put in a
 normal form, the pairwise intersection points are normalized too, and
 points are grouped in a dict keyed by their coordinates.  The oracle owns
-its arithmetic: ``harbourne.exactnum``'s scalars only hold values, so the
-field operations the normal forms need (``field_add``, ``field_sub``,
-``field_mul``, ``field_inverse`` and ``is_zero``) are written here.  The
-two paths share nothing beyond those data holders and the one scalar
-parser, so agreement between them is evidence for both.  Nothing in
-``harbourne`` imports this module.
+its arithmetic: ``harbourne.exactnum``'s scalars are plain values (a
+``Fraction`` over Q, a residue ``int`` over F_p, a ``(Fraction,
+Fraction)`` pair over Q(w)), so the field operations the normal forms
+need (``field_add``, ``field_sub``, ``field_mul``, ``field_inverse`` and
+``is_zero``, each given the field) are written here, and the package's
+rings are not imported.  The two paths share nothing beyond the field
+descriptor and the one scalar parser, so agreement between them is
+evidence for both.  Nothing in ``harbourne`` imports this module.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ from math import gcd
 
 from harbourne._value import Value
 from harbourne.exactnum import (
+    EISENSTEIN,
+    PRIME,
     RATIONAL,
-    EisensteinRational,
-    ExactScalar,
     FieldDescriptor,
-    PrimeFieldElement,
     scalar_from_json,
     scalar_to_json,
 )
@@ -38,51 +39,52 @@ from harbourne.geometry import (
 from harbourne.tspace import TVector
 
 
-def is_zero(x: ExactScalar) -> bool:
-    if isinstance(x, Fraction):
-        return x == 0
-    if isinstance(x, PrimeFieldElement):
-        return x.residue == 0
-    return x.a == 0 and x.b == 0
+def is_zero(field: FieldDescriptor, x) -> bool:
+    if field.kind == EISENSTEIN:
+        return x[0] == 0 and x[1] == 0
+    if field.kind == PRIME:
+        return x % field.p == 0
+    return x == 0
 
 
-def field_add(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    if isinstance(x, PrimeFieldElement):
-        return PrimeFieldElement(x.residue + y.residue, x.p)
-    if isinstance(x, EisensteinRational):
-        return EisensteinRational(x.a + y.a, x.b + y.b)
+def field_add(field: FieldDescriptor, x, y):
+    if field.kind == PRIME:
+        return (x + y) % field.p
+    if field.kind == EISENSTEIN:
+        return (x[0] + y[0], x[1] + y[1])
     return x + y
 
 
-def field_sub(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    if isinstance(x, PrimeFieldElement):
-        return PrimeFieldElement(x.residue - y.residue, x.p)
-    if isinstance(x, EisensteinRational):
-        return EisensteinRational(x.a - y.a, x.b - y.b)
+def field_sub(field: FieldDescriptor, x, y):
+    if field.kind == PRIME:
+        return (x - y) % field.p
+    if field.kind == EISENSTEIN:
+        return (x[0] - y[0], x[1] - y[1])
     return x - y
 
 
-def field_mul(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    if isinstance(x, PrimeFieldElement):
-        return PrimeFieldElement(x.residue * y.residue, x.p)
-    if isinstance(x, EisensteinRational):
+def field_mul(field: FieldDescriptor, x, y):
+    if field.kind == PRIME:
+        return x * y % field.p
+    if field.kind == EISENSTEIN:
         # (a1 + b1 w)(a2 + b2 w) = (a1 a2 - b1 b2) + (a1 b2 + a2 b1 - b1 b2) w, as w^2 = -1 - w
-        a1, b1, a2, b2 = x.a, x.b, y.a, y.b
-        return EisensteinRational(a1 * a2 - b1 * b2, a1 * b2 + a2 * b1 - b1 * b2)
+        (a1, b1), (a2, b2) = x, y
+        return (a1 * a2 - b1 * b2, a1 * b2 + a2 * b1 - b1 * b2)
     return x * y
 
 
-def field_inverse(x: ExactScalar) -> ExactScalar:
-    if is_zero(x):
+def field_inverse(field: FieldDescriptor, x):
+    if is_zero(field, x):
         raise ZeroDivisionError(f"0 has no inverse: {x!r}")
-    if isinstance(x, Fraction):
+    if field.kind == RATIONAL:
         return 1 / x
-    if isinstance(x, PrimeFieldElement):
-        return PrimeFieldElement(pow(x.residue, x.p - 2, x.p), x.p)
+    if field.kind == PRIME:
+        return pow(x, field.p - 2, field.p)
     # conjugate of a + b w is (a - b) - b w, and x * conj(x) is the norm
     # a^2 - a b + b^2, which is positive definite over Q
-    n = x.a * x.a - x.a * x.b + x.b * x.b
-    return EisensteinRational((x.a - x.b) / n, -x.b / n)
+    a, b = x
+    n = Fraction(a * a - a * b + b * b)
+    return ((a - b) / n, -b / n)
 
 
 class ProjTriple(Value):
@@ -95,9 +97,7 @@ class ProjTriple(Value):
 
     __slots__ = ("field", "coords")
 
-    def __init__(
-        self, field: FieldDescriptor, coords: tuple[ExactScalar, ExactScalar, ExactScalar]
-    ) -> None:
+    def __init__(self, field: FieldDescriptor, coords: tuple) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coords", coords)
 
@@ -106,12 +106,12 @@ class ProjTriple(Value):
         if len(raw) != 3:
             raise InvalidConfigurationError(f"expected 3 coordinates, got {len(raw)}")
         coords = tuple(scalar_from_json(v, field) for v in raw)
-        if all(is_zero(c) for c in coords):
+        if all(is_zero(field, c) for c in coords):
             raise InvalidConfigurationError("all-zero coordinate triple")
         return cls(field, _normalize(field, coords))
 
     def to_json(self) -> list:
-        return [scalar_to_json(c) for c in self.coords]
+        return [scalar_to_json(c, self.field) for c in self.coords]
 
 
 def _normalize(field: FieldDescriptor, coords) -> tuple:
@@ -128,18 +128,19 @@ def _normalize(field: FieldDescriptor, coords) -> tuple:
         if lead < 0:
             ints = [-v for v in ints]
         return tuple(Fraction(v) for v in ints)
-    lead = next(c for c in coords if not is_zero(c))
-    inv = field_inverse(lead)
-    return tuple(field_mul(c, inv) for c in coords)
+    lead = next(c for c in coords if not is_zero(field, c))
+    inv = field_inverse(field, lead)
+    return tuple(field_mul(field, c, inv) for c in coords)
 
 
-def dot(u: ProjTriple, v: ProjTriple) -> ExactScalar:
-    (u1, u2, u3), (v1, v2, v3) = u.coords, v.coords
-    return field_add(field_add(field_mul(u1, v1), field_mul(u2, v2)), field_mul(u3, v3))
+def dot(u: ProjTriple, v: ProjTriple):
+    f = u.field
+    a, b, c = (field_mul(f, x, y) for x, y in zip(u.coords, v.coords))
+    return field_add(f, field_add(f, a, b), c)
 
 
 def incident(line: ProjTriple, point: ProjTriple) -> bool:
-    return is_zero(dot(line, point))
+    return is_zero(line.field, dot(line, point))
 
 
 def cross_product(u: ProjTriple, v: ProjTriple) -> ProjTriple | None:
@@ -148,13 +149,14 @@ def cross_product(u: ProjTriple, v: ProjTriple) -> ProjTriple | None:
     Returns None when the triples are proportional, i.e. the same
     projective element.
     """
+    f = u.field
     (u1, u2, u3), (v1, v2, v3) = u.coords, v.coords
     w = (
-        field_sub(field_mul(u2, v3), field_mul(u3, v2)),
-        field_sub(field_mul(u3, v1), field_mul(u1, v3)),
-        field_sub(field_mul(u1, v2), field_mul(u2, v1)),
+        field_sub(f, field_mul(f, u2, v3), field_mul(f, u3, v2)),
+        field_sub(f, field_mul(f, u3, v1), field_mul(f, u1, v3)),
+        field_sub(f, field_mul(f, u1, v2), field_mul(f, u2, v1)),
     )
-    if all(is_zero(c) for c in w):
+    if all(is_zero(f, c) for c in w):
         return None
     return ProjTriple(u.field, _normalize(u.field, w))
 

@@ -321,11 +321,12 @@ class TestVerify:
             ({"lines": [[1, 0, 0], 7]}, "lines[1]: expected an array of coordinates, got 7"),
             ({"lines": [[True, 0, 0], [0, 1, 0]]}, "lines[0][0]: rational scalar must be"),
             ({"claimed_tvector": 5}, "claimed_tvector: expected a string, got 5"),
+            ({"label": 7}, "label: expected a string, got 7"),
             ({"field": {"kind": "prime", "p": 4}}, "field: prime field modulus must be one of"),
             ({"field": "rational"}, "field: field must be an object, got 'rational'"),
         ],
-        ids=["lines-int", "line-int", "bool-coordinate", "claimed-int", "unsupported-prime",
-             "field-string"],
+        ids=["lines-int", "line-int", "bool-coordinate", "claimed-int", "label-int",
+             "unsupported-prime", "field-string"],
     )
     def test_malformed_certificate_fails_without_traceback(self, capsys, tmp_path, change, message):
         data = {"label": "bad", "field": {"kind": "rational"}, "lines": [[1, 0, 0], [0, 1, 0]]}
@@ -335,6 +336,17 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(path))
         assert code == 1
         assert out == "" and err.startswith(f"verification failed: {message}")
+
+    @pytest.mark.parametrize(
+        "content, shown", [("[1, 2]", "[1, 2]"), ('"x"', "'x'"), ("null", "None")],
+        ids=["array", "string", "null"],
+    )
+    def test_non_object_certificate_fails(self, capsys, tmp_path, content, shown):
+        path = tmp_path / "cert.json"
+        path.write_text(content)
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"verification failed: certificate must be an object, got {shown}\n"
 
     def test_pg23_minus_pencil3(self, capsys, tmp_path):
         from harbourne.pipeline import builtin_certificates

@@ -17,9 +17,7 @@ from hypothesis import strategies as st
 import harbourne
 from harbourne.exactnum import (
     SUPPORTED_PRIMES,
-    EisensteinRational,
     FieldDescriptor,
-    PrimeFieldElement,
     UnsupportedFieldError,
     scalar_from_json,
 )
@@ -101,17 +99,14 @@ class TestPlaneLines:
         lines = plane_lines(3)
         assert len(set(lines)) == 13
         for line in lines:
-            lead = next(c for c in line.coords if c.residue != 0)
-            assert lead.residue == 1
+            assert next(c for c in line.coords if c != 0) == 1
 
     def test_deterministic_order(self):
         assert [l.to_json() for l in plane_lines(3)] == [l.to_json() for l in plane_lines(3)]
 
     @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
     def test_residues_are_the_normalized_lines(self, p):
-        assert _plane_residues(p) == tuple(
-            tuple(c.residue for c in line.coords) for line in plane_lines(p)
-        )
+        assert _plane_residues(p) == tuple(line.coords for line in plane_lines(p))
 
     def test_residues_of_unsupported_prime(self):
         with pytest.raises(UnsupportedFieldError):
@@ -138,13 +133,13 @@ class TestNormalization:
     def test_prime_leading_one(self):
         f3 = FieldDescriptor.prime(3)
         t = ProjTriple.make(f3, (0, 2, 1))
-        assert t.coords == (PrimeFieldElement(0, 3), PrimeFieldElement(1, 3), PrimeFieldElement(2, 3))
+        assert t.coords == (0, 1, 2)
 
     def test_eisenstein_leading_one(self):
-        w = EisensteinRational(0, 1)
+        w = (0, 1)
         t = ProjTriple.make(EIS, (w, w, (0, 0)))
-        assert t.coords[0] == EisensteinRational(1, 0)
-        assert t.coords[1] == EisensteinRational(1, 0)
+        assert t.coords[0] == (1, 0)
+        assert t.coords[1] == (1, 0)
 
     def test_zero_triple_rejected(self):
         with pytest.raises(InvalidConfigurationError):
@@ -449,13 +444,11 @@ class TestCertificates:
             (RAT, 5, r"^lines: expected an array of lines, got 5$"),
             (RAT, [(1, 0, 0), 7], r"^lines\[1\]: expected an array of coordinates, got 7$"),
             (RAT, [(1, 0, 0), (0, True, 0)], r"^lines\[1\]\[1\]: .*got True$"),
-            (RAT, [(1, 0, 0), (0, 1, "1/0")], r"^lines\[1\]\[2\]: "),
+            (RAT, [(1, 0, 0), (0, 1, "1/0")], r"^lines\[1\]\[2\]: .*zero denominator: '1/0'$"),
             (FieldDescriptor.prime(3), [(0, 1, 2), (1, 0, -1)], r"^lines\[1\]\[2\]: .*got -1$"),
-            (FieldDescriptor.prime(3), [(PrimeFieldElement(1, 5), 0, 0)], r"^lines\[0\]\[0\]: "),
             (EIS, [((1, 0), 1, (0, 0))], r"^lines\[0\]\[1\]: .*two-element array"),
         ],
-        ids=["lines-int", "line-int", "bool", "zero-denominator", "residue-range", "foreign-residue",
-             "eisenstein-int"],
+        ids=["lines-int", "line-int", "bool", "zero-denominator", "residue-range", "eisenstein-int"],
     )
     def test_constructor_parses_every_coordinate(self, field, lines, message):
         with pytest.raises(CertificateError, match=message):
@@ -503,7 +496,8 @@ def small_lines(field):
     else:
         digits = [0, 1, field.p - 1 if field.kind == "prime" else -1]
     triples = (tuple(scalar_from_json(v, field) for v in raw) for raw in product(digits, repeat=3))
-    normal = {ProjTriple.make(field, t): t for t in triples if not all(map(normal_forms.is_zero, t))}
+    nonzero = (t for t in triples if not all(normal_forms.is_zero(field, c) for c in t))
+    normal = {ProjTriple.make(field, t): t for t in nonzero}
     return list(normal.values())
 
 
@@ -513,7 +507,7 @@ def configurations(draw, field):
     pool = small_lines(field)
     picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=8, unique=True))
     scales = draw(st.lists(nonzero_scalars(field), min_size=len(picks), max_size=len(picks)))
-    return [tuple(field_mul(c, x) for x in line) for c, line in zip(scales, picks)]
+    return [tuple(field_mul(field, c, x) for x in line) for c, line in zip(scales, picks)]
 
 
 class TestDeterminantVerifier:
@@ -542,7 +536,7 @@ class TestDeterminantVerifier:
         lines = data.draw(configurations(field))
         line = data.draw(st.sampled_from(lines))
         c = data.draw(nonzero_scalars(field))
-        cert = Certificate("dup", field, (*lines, tuple(field_mul(c, x) for x in line)))
+        cert = Certificate("dup", field, (*lines, tuple(field_mul(field, c, x) for x in line)))
         assert determinant_outcome(cert) == normal_form_outcome(cert)
         assert determinant_outcome(cert).endswith("duplicate line in configuration")
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from harbourne.criteria import ExclusionVerdict
-from harbourne.exactnum import EisensteinRational, FieldDescriptor, PrimeFieldElement
+from harbourne.exactnum import FieldDescriptor
 from harbourne.geometry import (
     Certificate,
     RealizationOutcome,
@@ -38,11 +38,6 @@ SAMPLES = {
         "ExclusionVerdict(criterion='parity_profile', detail='line 0')",
     ),
     FieldDescriptor: (lambda: FieldDescriptor.prime(3), "FieldDescriptor(kind='prime', p=3)"),
-    PrimeFieldElement: (lambda: PrimeFieldElement(4, 3), "PrimeFieldElement(residue=1, p=3)"),
-    EisensteinRational: (
-        lambda: EisensteinRational(1, Fraction(1, 2)),
-        "EisensteinRational(a=Fraction(1, 1), b=Fraction(1, 2))",
-    ),
     CliquePartition: (
         lambda: CliquePartition(3, ((2, 1, 0),)),
         "CliquePartition(d=3, points=((0, 1, 2),))",
@@ -54,9 +49,7 @@ SAMPLES = {
     # the normal-form oracle's point type, kept to the same contract: it keys the oracle's dicts
     ProjTriple: (
         lambda: ProjTriple.make(FieldDescriptor.prime(2), (1, 1, 0)),
-        "ProjTriple(field=FieldDescriptor(kind='prime', p=2), "
-        "coords=(PrimeFieldElement(residue=1, p=2), PrimeFieldElement(residue=1, p=2), "
-        "PrimeFieldElement(residue=0, p=2)))",
+        "ProjTriple(field=FieldDescriptor(kind='prime', p=2), coords=(1, 1, 0))",
     ),
     RealizationOutcome: (
         lambda: RealizationOutcome(((0, 0, 1), (0, 1, 0), (0, 1, 1)), True, 3),
@@ -90,8 +83,6 @@ FIELDS = {
     TVector: ("d", "counts"),
     ExclusionVerdict: ("criterion", "detail"),
     FieldDescriptor: ("kind", "p"),
-    PrimeFieldElement: ("residue", "p"),
-    EisensteinRational: ("a", "b"),
     CliquePartition: ("d", "points"),
     SearchOutcome: ("witness", "nodes_explored"),
     ProjTriple: ("field", "coords"),
