@@ -1,11 +1,15 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from harbourne import exactnum
+from harbourne import exactnum, pipeline
 from harbourne.exactnum import (
+    EISENSTEIN,
+    PRIME,
+    RATIONAL,
     SUPPORTED_PRIMES,
     FieldDescriptor,
     UnsupportedFieldError,
@@ -17,6 +21,22 @@ from normal_forms import field_add, field_inverse, field_mul, field_sub, is_zero
 Q, QW = FieldDescriptor.rational(), FieldDescriptor.eisenstein()
 rationals = st.fractions(max_denominator=50)
 eisensteins = st.tuples(rationals, rationals)
+# one field of each kind, named by its kind
+KIND_FIELDS = [Q, FieldDescriptor.prime(5), QW]
+KIND_IDS = [field.kind for field in KIND_FIELDS]
+
+
+def scalars(field):
+    """Plain values of ``field``: what ``scalar_from_json`` returns."""
+    if field.kind == PRIME:
+        return st.integers(0, field.p - 1)
+    return eisensteins if field.kind == EISENSTEIN else rationals
+
+
+def ring_ints(field):
+    """Ring integers of ``field`` as a cleared line holds them; Z/p values are unreduced."""
+    ints = st.integers(-60, 60)
+    return st.tuples(ints, ints) if field.kind == EISENSTEIN else ints
 
 
 def test_rational_addition():
@@ -129,6 +149,63 @@ def test_scalar_serialization_roundtrip(scalar, field, encoded):
     assert scalar_to_json(scalar, field) == encoded
     assert scalar_from_json(encoded, field) == scalar
     assert scalar_from_json(scalar, field) == scalar  # a plain value parses as itself
+
+
+def test_residue_range_invariant():
+    # an F_p coordinate is a plain int in [0, p): the parser keeps exactly those
+    for p in SUPPORTED_PRIMES:
+        fp = FieldDescriptor.prime(p)
+        assert [scalar_from_json(r, fp) for r in range(p)] == list(range(p))
+        for outside in (-1, p, p + 1, 2 * p):
+            with pytest.raises(ValueError, match=rf"in \[0, {p}\), got {outside}$"):
+                scalar_from_json(outside, fp)
+
+
+@pytest.mark.parametrize("field", KIND_FIELDS, ids=KIND_IDS)
+@given(data=st.data())
+def test_wire_scalar_roundtrip(field, data):
+    x = data.draw(scalars(field))
+    wire = json.loads(json.dumps(scalar_to_json(x, field)))
+    parsed = scalar_from_json(wire, field)
+    assert parsed == x
+    assert type(parsed) is type(x)
+    if field.kind == EISENSTEIN:
+        assert all(type(part) is Fraction for part in parsed)
+
+
+@pytest.mark.parametrize("field", KIND_FIELDS, ids=KIND_IDS)
+@given(data=st.data())
+def test_kind_ring_agrees_with_oracle(field, data):
+    times, plus, minus, ring_is_zero = exactnum._KINDS[field.kind].ring(field.p)
+    x, y = data.draw(ring_ints(field)), data.draw(ring_ints(field))
+    reduce = (lambda v: v % field.p) if field.kind == PRIME else (lambda v: v)
+    assert reduce(times(x, y)) == field_mul(field, x, y)
+    assert reduce(plus(x, y)) == field_add(field, x, y)
+    assert reduce(minus(x, y)) == field_sub(field, x, y)
+    assert ring_is_zero(x) == is_zero(field, x)
+    assert ring_is_zero(minus(x, x))
+
+
+@pytest.mark.parametrize("field", KIND_FIELDS, ids=KIND_IDS)
+@given(data=st.data())
+def test_cleared_line_is_a_nonzero_multiple(field, data):
+    nonzero = st.tuples(*[scalars(field)] * 3).filter(lambda t: not all(is_zero(field, c) for c in t))
+    line = data.draw(nonzero)
+    cleared = exactnum._KINDS[field.kind].clear(line)
+    assert len(cleared) == 3
+    parts = [x for c in cleared for x in c] if field.kind == EISENSTEIN else list(cleared)
+    assert all(type(x) is int for x in parts)
+    assert not all(is_zero(field, c) for c in cleared)
+    # proportional triples: every 2x2 minor of (line, cleared) vanishes
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        minor = field_sub(field, field_mul(field, line[i], cleared[j]), field_mul(field, line[j], cleared[i]))
+        assert is_zero(field, minor)
+
+
+def test_kind_characteristics():
+    assert pipeline.ALL_KINDS == (RATIONAL, PRIME, EISENSTEIN)
+    assert pipeline.CHAR0_KINDS == (RATIONAL, EISENSTEIN)
+    assert [exactnum._KINDS[kind].characteristic for kind in pipeline.ALL_KINDS] == [0, None, 0]
 
 
 def test_scalar_parse_rejects_garbage():

@@ -446,9 +446,12 @@ class TestCertificates:
             (RAT, [(1, 0, 0), (0, True, 0)], r"^lines\[1\]\[1\]: .*got True$"),
             (RAT, [(1, 0, 0), (0, 1, "1/0")], r"^lines\[1\]\[2\]: .*zero denominator: '1/0'$"),
             (FieldDescriptor.prime(3), [(0, 1, 2), (1, 0, -1)], r"^lines\[1\]\[2\]: .*got -1$"),
+            # a residue of a larger prime is not one of F_3
+            (FieldDescriptor.prime(3), [(4, 0, 0)], r"^lines\[0\]\[0\]: .*in \[0, 3\), got 4$"),
             (EIS, [((1, 0), 1, (0, 0))], r"^lines\[0\]\[1\]: .*two-element array"),
         ],
-        ids=["lines-int", "line-int", "bool", "zero-denominator", "residue-range", "eisenstein-int"],
+        ids=["lines-int", "line-int", "bool", "zero-denominator", "residue-range", "foreign-residue",
+             "eisenstein-int"],
     )
     def test_constructor_parses_every_coordinate(self, field, lines, message):
         with pytest.raises(CertificateError, match=message):
