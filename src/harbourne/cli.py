@@ -2,9 +2,8 @@
 
 Subcommands: enumerate, filter, feasible, realize, verify, table.
 Exit codes are a stable contract: 0 success/feasible, 1 proven negative,
-2 usage error, 3 inconclusive (the search did not finish: it ran out of
-the node budget that ``--budget`` sets, or a recursive step hit Python's
-recursion limit), 4 table-integrity failure.
+2 usage error, 3 inconclusive (the search ran out of the node budget
+that ``--budget`` sets), 4 table-integrity failure.
 
 Usage errors have one path: the helpers and commands raise
 :class:`UsageError`, often translating the ValueError of the library
@@ -340,9 +339,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RecursionError as exc:  # a search tree deeper than Python's stack proves nothing
-        print(f"inconclusive: search did not finish ({exc})", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except BrokenPipeError:
         # the rest of the output has no reader; drop it so the exit flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

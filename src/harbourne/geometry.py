@@ -54,7 +54,7 @@ from .exactnum import (
     scalar_to_json,
 )
 # DEFAULT_NODE_BUDGET stays bound here: the benchmark records geometry.DEFAULT_NODE_BUDGET
-from .incidence import DEFAULT_NODE_BUDGET, SearchBudgetExceeded, resolve_node_budget
+from .incidence import DEFAULT_NODE_BUDGET, resolve_node_budget
 from .tspace import TVector, quotient_fraction, require_solution
 
 
@@ -157,27 +157,22 @@ def realize_over_prime_field(
     chosen: list[int] = []
     on = [0] * len(lines)  # on[pt] = number of chosen lines through point pt
     nodes = 0
-
-    def search(start: int) -> tuple[tuple[int, int, int], ...] | None:
-        nonlocal nodes
+    idx = 0  # the next line to try at the current depth
+    spare = len(lines) - d
+    while True:
         depth = len(chosen)
-        if depth == d:
-            # room[m] >= 0 and sum (m - 1) room[m] (m >= 2) = C(d, 2) - C(d, 2) = 0: T is met exactly
-            return tuple(lines[i] for i in chosen)
-        last = len(lines) - (d - depth)  # leave room for the lines still to choose
-        if depth < 2:  # the PGL(3, p) frame: depth 0 tries only line 0, depth 1 only line 1,
-            candidates = (depth,)
-        elif depth == 2:  # and depth 2 the first line of each orbit of their stabilizer
-            candidates = [idx for idx in (2, p + 1) if idx <= last]
-        else:
-            candidates = range(start, last + 1)
-        for idx in candidates:
+        last = spare + depth  # leave room for the lines still to choose
+        if depth <= 2:  # the PGL(3, p) frame: depth 0 tries only line 0, depth 1 only line 1,
+            if depth == 2:  # and depth 2 the first line of each orbit of their stabilizer
+                idx = 2 if idx <= 2 else p + 1 if idx <= p + 1 else last + 1
+            elif idx > depth:
+                idx = last + 1
+        if idx <= last:  # past last, no line is left to try at this depth
             nodes += 1
             if nodes > budget:
-                raise SearchBudgetExceeded(nodes)
-            row = rows[idx]
+                return RealizationOutcome(None, False, nodes)
             fits = True  # each point of the line moves from m - 1 to m chosen lines
-            for pt in row:
+            for pt in rows[idx]:
                 m = on[pt] + 1
                 on[pt] = m
                 room[m] -= 1
@@ -185,23 +180,19 @@ def realize_over_prime_field(
                     fits = False
             chosen.append(idx)
             if fits:
-                result = search(idx + 1)
-                if result is not None:
-                    return result
-            chosen.pop()
-            for pt in row:
-                m = on[pt]
-                room[m] += 1
-                on[pt] = m - 1
-        return None
-
-    try:
-        found = search(0)
-    except SearchBudgetExceeded:
-        return RealizationOutcome(None, False, nodes)
-    finally:
-        del search  # it refers to itself, so only the cyclic GC would free it and its state
-    return RealizationOutcome(found, True, nodes)
+                if depth + 1 == d:
+                    # room[m] >= 0 and sum (m - 1) room[m] (m >= 2) = C(d, 2) - C(d, 2) = 0: T is met exactly
+                    return RealizationOutcome(tuple(lines[i] for i in chosen), True, nodes)
+                idx += 1
+                continue
+        elif not chosen:
+            return RealizationOutcome(None, True, nodes)
+        idx = chosen.pop()  # a line that does not fit, or one whose subtree is done
+        for pt in rows[idx]:
+            m = on[pt]
+            room[m] += 1
+            on[pt] = m - 1
+        idx += 1
 
 
 class Certificate(Value):

@@ -175,27 +175,21 @@ def _sorted_tspace(d: int) -> tuple[tuple[TVector, ...], tuple[tuple[int, int], 
     square = d * d
     # every s <= C(d,2) divides scale, so (d^2 - w) * (scale // s) is q * scale exactly
     scale = lcm(*range(1, budget + 1))
-    keyed: list[tuple[int, tuple[int, ...], TVector, tuple[int, int]]] = []
-    counts = [0] * (d - 1)
-
-    def descend(k: int, remaining: int, points: int, weighted: int) -> None:
-        # points = sum t_j and weighted = sum j^2 t_j over the j > k already chosen
-        if k == 2:
-            counts[0] = remaining  # each double point uses exactly one pair
-            points += remaining
-            excess = square - weighted - 4 * remaining  # q = excess / points
-            tie_break = tuple(map(neg, reversed(counts)))
-            keyed.append(
-                (excess * (scale // points), tie_break, TVector(d, tuple(counts)), (excess, points))
-            )
-            return
-        weight = comb(k, 2)
-        for t in range(remaining // weight + 1):
-            counts[k - 2] = t
-            descend(k - 1, remaining - t * weight, points + t, weighted + t * k * k)
-        counts[k - 2] = 0
-
-    descend(d, budget, 0, 0)
-    del descend  # it refers to itself, so only the cyclic GC would free it and its state
+    # one entry per (t_d, ..., t_k) so far: the counts, the pairs they leave, sum t_j, sum j^2 t_j
+    level = [((), budget, 0, 0)]
+    for k in range(d, 2, -1):
+        weight, k_squared = comb(k, 2), k * k
+        level = [
+            (counts + (t,), remaining - t * weight, points + t, weighted + t * k_squared)
+            for counts, remaining, points, weighted in level
+            for t in range(remaining // weight + 1)
+        ]
+    keyed = []
+    for counts, remaining, points, weighted in level:
+        points += remaining  # each double point uses exactly one pair, so t_2 takes what is left
+        excess = square - weighted - 4 * remaining  # q = excess / points
+        tie_break = (*map(neg, counts), -remaining)  # (t_d, ..., t_2) descending
+        tv = TVector(d, (remaining, *reversed(counts)))
+        keyed.append((excess * (scale // points), tie_break, tv, (excess, points)))
     keyed.sort()  # no two T share a tie-break, so no TVector is ever compared
     return tuple(entry[2] for entry in keyed), tuple(entry[3] for entry in keyed)

@@ -297,6 +297,30 @@ class TestRealization:
         assert not out.found and out.exhausted
         assert out.nodes == 0
 
+    @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+    def test_whole_plane_is_found_within_a_few_dozen_frames(self, p):
+        """All p^2 + p + 1 lines, each through p + 1 points of multiplicity p + 1.
+
+        Every line fits, so the search takes one node per line; its depth
+        is the plane's line count, 183 for p = 13, yet it needs only a few
+        frames of Python's stack.
+        """
+        d = p * p + p + 1
+        vector = TVector.from_mapping(d, {p + 1: d})
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            out = realize_over_prime_field(vector, p)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert out.found and out.exhausted
+        assert out.nodes == d
+        cert = Certificate("whole-plane", FieldDescriptor.prime(p), out.lines, vector)
+        assert verify_certificate(cert).tvector == vector
+
     def test_roundtrip_through_certificate(self):
         vector = TVector.from_mapping(10, {3: 9, 4: 3})
         out = realize_over_prime_field(vector, 3)

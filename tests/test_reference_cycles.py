@@ -1,10 +1,9 @@
 """The searches leave no reference cycles behind.
 
-The enumerator and the realization search recurse through a nested
-function that refers to itself.  Unless that reference is dropped when
-the search ends, every call leaves a cycle holding the search's state
-until the cyclic GC runs.  The filters' line-profile walks and the
-incidence search keep their own state and must leave none either.
+The enumerator, the realization search, the filters' line-profile walks
+and the incidence search keep their state in local lists.  A nested
+function that referred to itself, or any other cycle through that
+state, would hold it after every call until the cyclic GC runs.
 """
 
 import gc

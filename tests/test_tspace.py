@@ -25,7 +25,7 @@ from harbourne.tspace import (
 
 @cache
 def brute_force_solutions(d):
-    """Naive nested-loop solution set: independent of the recursive enumerator."""
+    """Naive nested-loop solution set: independent of the enumerator."""
     pairs = comb(d, 2)
     weights = [comb(k, 2) for k in range(2, d + 1)]
     ranges = [range(pairs // w + 1) for w in weights]
