@@ -1,24 +1,26 @@
-"""Necessary-condition filters on candidate T-vectors.
+"""Necessary-condition filters on candidate T-vectors, and the modes they run in.
 
-Each filter encodes a counting fact that every line configuration (over
-any field, except where noted) must satisfy, and returns a verdict with
-a machine-readable reason:
+Each filter is one row: a private function that checks a counting fact
+every line configuration (over any field, except where noted) must
+satisfy, and returns an ``ExclusionVerdict`` with a machine-readable
+reason if T breaks it, else None:
 
-* multiplicity sums: any r singular points span at most d + C(r,2) lines;
-* two pencils: the two points of highest multiplicity m1, m2 force at
+* ``_multiplicity_sum``: any r singular points span at most d + C(r,2) lines;
+* ``_two_pencils``: the two points of highest multiplicity m1, m2 force at
   least (m1-1)(m2-1) + 2 singular points in total;
-* line profiles: each line meets the other d-1 lines in points whose
+* ``_parity_profile``: each line meets the other d-1 lines in points whose
   multiplicities m satisfy sum (m-1) = d-1, and the d per-line profiles
   must jointly account for exactly k*t_k incidences at k-fold points;
-* the Hirzebruch bound t_2 + (3/4) t_3 >= d + sum_{k>=5} (k-4) t_k, valid
-  for complex configurations of d >= 6 lines with t_d = t_{d-1} =
-  t_{d-2} = 0 (complex mode only);
-* point pairs: two singular points share at most one line (de Bruijn-Erdos
-  1948), so the line profiles must also fit the budgets of C(t_k, 2)
-  pairs of k-fold points and t_j * t_k mixed pairs.  The same budgets
-  bind clique partitions of K_d (two cliques share at most one vertex),
-  so the filter never excludes a combinatorially feasible T.  It runs
-  last, after the Hirzebruch bound in complex mode.
+* ``_hirzebruch``: t_2 + (3/4) t_3 >= d + sum_{k>=5} (k-4) t_k, valid for
+  complex configurations of d >= 6 lines with t_d = t_{d-1} = t_{d-2} = 0;
+* ``_point_pairs``: two singular points share at most one line (de
+  Bruijn-Erdos 1948), so the line profiles must also fit the budgets of
+  C(t_k, 2) pairs of k-fold points and t_j * t_k mixed pairs.
+
+A mode is the certificate field kinds it admits (``admitted_kinds``):
+absolute mode admits Q, F_p and Q(w), complex mode Q and Q(w) only.  The
+Hirzebruch row runs only in a mode that admits no prime field, as the
+bound holds over C only.  ``apply_all`` runs the rows in a fixed order.
 
 Filters never prove existence; sufficiency is the incidence module's job.
 """
@@ -29,20 +31,34 @@ from fractions import Fraction
 from math import comb
 
 from ._value import Value
-from .tspace import TVector, _require_balanced, require_solution
+from .exactnum import EISENSTEIN, PRIME, RATIONAL
+from .tspace import TVector, _require_balanced
 
 PASSED = "passed"
 EXCLUDED = "excluded"
 
 MODE_ABSOLUTE = "absolute"
 MODE_COMPLEX = "complex"
-MODES = (MODE_ABSOLUTE, MODE_COMPLEX)
+# each mode is the field kinds whose certificates it admits, in ``exactnum._KINDS`` order
+_ADMITTED = {
+    MODE_ABSOLUTE: (RATIONAL, PRIME, EISENSTEIN),
+    MODE_COMPLEX: (RATIONAL, EISENSTEIN),
+}
+MODES = tuple(_ADMITTED)
+
+
+def admitted_kinds(mode: str) -> tuple[str, ...]:
+    """The certificate field kinds ``mode`` admits; ValueError for an unknown mode."""
+    try:
+        return _ADMITTED[mode]
+    except KeyError:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}") from None
 
 
 class ExclusionVerdict(Value):
-    """Outcome of one filter (or of the whole pipeline) on a T-vector.
+    """Outcome of one row (only when it excludes) or of ``apply_all`` on a T-vector.
 
-    ``criterion`` names the filter that excluded T; ``None`` means T passed.
+    ``criterion`` names the row that excluded T; ``None`` means T passed.
     """
 
     __slots__ = ("criterion", "detail")
@@ -65,18 +81,14 @@ class ExclusionVerdict(Value):
         return {"status": self.status, "criterion": self.criterion, "detail": self.detail}
 
 
-def multiplicity_sum_filter(tv: TVector) -> ExclusionVerdict:
+def _multiplicity_sum(d: int, mults: list[int]) -> ExclusionVerdict | None:
     """Check sum of the r largest multiplicities <= d + C(r,2) for every r.
 
     Counting lines through r points (each pair of points shares at most
     one line) gives the bound; r = 3 and r = 4 are the classical
-    triangular and quadrangle cases.
+    triangular and quadrangle cases.  ``mults`` is T's multiplicities,
+    descending.
     """
-    require_solution(tv)
-    return _multiplicity_sum_verdict(tv.d, tv.multiplicities())
-
-
-def _multiplicity_sum_verdict(d: int, mults: list[int]) -> ExclusionVerdict:
     running = 0
     for r, m in enumerate(mults, start=1):
         if m < r:
@@ -91,26 +103,22 @@ def _multiplicity_sum_verdict(d: int, mults: list[int]) -> ExclusionVerdict:
                 "multiplicity_sum",
                 f"r={r}: {top} = {running} > {bound} = d + C({r},2)",
             )
-    return ExclusionVerdict(None, "ok")
+    return None
 
 
-def two_pencils_filter(tv: TVector) -> ExclusionVerdict:
+def _two_pencils(mults: list[int]) -> ExclusionVerdict | None:
     """Check (m1-1)(m2-1) + 2 <= s for the two largest multiplicities.
 
     The two heaviest points each spread a pencil of lines; pairwise
     intersections of the two pencils (away from a possible common line)
     are distinct singular points.  The bound used here is the weaker of
     the two cases (points joined by a configuration line or not), hence
-    valid without knowing which case occurs.
+    valid without knowing which case occurs.  ``mults`` is T's
+    multiplicities, descending.
     """
-    require_solution(tv)
-    return _two_pencils_verdict(tv.multiplicities())
-
-
-def _two_pencils_verdict(mults: list[int]) -> ExclusionVerdict:
     s = len(mults)
     if s < 2:
-        return ExclusionVerdict(None, "fewer than two singular points")
+        return None
     m1, m2 = mults[0], mults[1]
     needed = (m1 - 1) * (m2 - 1) + 2
     if needed > s:
@@ -118,7 +126,7 @@ def _two_pencils_verdict(mults: list[int]) -> ExclusionVerdict:
             "two_pencils",
             f"(m1-1)(m2-1)+2 = ({m1}-1)({m2}-1)+2 = {needed} > s = {s}",
         )
-    return ExclusionVerdict(None, "ok")
+    return None
 
 
 def _line_profiles(tv: TVector) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -279,23 +287,20 @@ def _pair_use(vec: tuple[int, ...], budgets: list[tuple[int, int, int]]) -> tupl
     return tuple(vec[a] * (vec[a] - 1) // 2 if a == b else vec[a] * vec[b] for a, b, _ in budgets)
 
 
-def parity_profile_filter(tv: TVector) -> ExclusionVerdict:
+def _parity_profile(
+    tv: TVector, ks: list[int], counts: list[tuple[int, ...]], first: tuple[int, ...] | None
+) -> ExclusionVerdict | None:
     """Check that admissible line profiles exist and can jointly cover T.
 
     First hurdle: d-1 must be a sum of parts (m-1) over multiplicities m
     present in T (with at most t_m parts equal to m).  Second hurdle: the
     d lines must distribute over the admissible profiles so that k-fold
-    points collect exactly k * t_k incidences for every k.
+    points collect exactly k * t_k incidences for every k.  ``ks`` and
+    ``counts`` are ``_line_profiles(tv)``, and ``first`` is their
+    ``_profile_mix``, None exactly when no distribution exists.
     """
-    require_solution(tv)
-    ks, counts = _line_profiles(tv)
-    if _profile_mix(tv, ks, counts) is None:
-        return _parity_exclusion(tv, ks, counts)
-    return ExclusionVerdict(None, "ok")
-
-
-def _parity_exclusion(tv: TVector, ks: list[int], counts: list[tuple[int, ...]]) -> ExclusionVerdict:
-    """The parity exclusion of a T whose profiles have no mix."""
+    if first is not None:
+        return None
     if not counts:
         return ExclusionVerdict(
             "parity_profile",
@@ -310,7 +315,9 @@ def _parity_exclusion(tv: TVector, ks: list[int], counts: list[tuple[int, ...]])
     )
 
 
-def point_pairs_filter(tv: TVector) -> ExclusionVerdict:
+def _point_pairs(
+    tv: TVector, ks: list[int], counts: list[tuple[int, ...]], first: tuple[int, ...]
+) -> ExclusionVerdict | None:
     """Check that some profile mix also fits the point-pair budgets.
 
     Two singular points lie on at most one common line (de Bruijn-Erdos
@@ -322,27 +329,14 @@ def point_pairs_filter(tv: TVector) -> ExclusionVerdict:
         sum_P x_P * C(c_k(P), 2)      <= C(t_k, 2)   for every k,
         sum_P x_P * c_j(P) * c_k(P)   <= t_j * t_k   for every j < k,
 
-    on top of the incidence totals of :func:`parity_profile_filter`.
-    Dually, two cliques of a clique partition of K_d share at most one
-    vertex, so the same budgets bind the incidence search, and this filter
-    never excludes a T that admits a clique partition.  The first mix of
-    the incidence totals is checked directly; only an overdrawn one starts
-    a search over mixes under the budgets.  With no mix at all the filter
-    is inapplicable and passes (that exclusion is
-    :func:`parity_profile_filter`'s).
+    on top of the incidence totals of :func:`_parity_profile`.  Dually,
+    two cliques of a clique partition of K_d share at most one vertex, so
+    the same budgets bind the incidence search, and this row never
+    excludes a T that admits a clique partition.  ``first`` is the first
+    mix of the incidence totals (``_profile_mix``); it is checked
+    directly, and only an overdrawn one starts a search over mixes under
+    the budgets.
     """
-    require_solution(tv)
-    ks, counts = _line_profiles(tv)
-    first = _profile_mix(tv, ks, counts)
-    if first is None:
-        return ExclusionVerdict(None, "inapplicable: no line-profile mix meets the incidence totals")
-    return _point_pairs_exclusion(tv, ks, counts, first) or ExclusionVerdict(None, "ok")
-
-
-def _point_pairs_exclusion(
-    tv: TVector, ks: list[int], counts: list[tuple[int, ...]], first: tuple[int, ...]
-) -> ExclusionVerdict | None:
-    """The point-pair exclusion of T, or None if a mix of its profiles fits the budgets."""
     budgets = _pair_budgets(tv, ks)
     spent = [0] * len(budgets)
     for x, vec in zip(first, counts):
@@ -378,7 +372,7 @@ def _point_pairs_exclusion(
     )
 
 
-def hirzebruch_filter(tv: TVector) -> ExclusionVerdict:
+def _hirzebruch(tv: TVector) -> ExclusionVerdict | None:
     """Complex-plane bound t_2 + (3/4) t_3 >= d + sum_{k>=5} (k-4) t_k.
 
     Published form: Hirzebruch's inequality for line arrangements in the
@@ -391,21 +385,14 @@ def hirzebruch_filter(tv: TVector) -> ExclusionVerdict:
     Since k^2/4 - k - (k - 4) = (k/2 - 2)^2 >= 0, that right-hand side
     dominates the one checked here, so the bound holds under the same
     hypotheses.  Outside them (d < 6, or a point on d, d-1 or d-2 lines)
-    the filter reports itself inapplicable and passes.  At d <= 10 every
-    exclusion ``apply_all`` makes with it already meets these hypotheses.
-    Four complex audit entries rest on this filter alone: d=7 (0,7,0,...)
-    and d=10 (0,9,3,...), (3,6,4,...) and (3,8,3,...).
+    the row does not apply and returns None.  At d <= 10 every exclusion
+    ``apply_all`` makes with it already meets these hypotheses.  Four
+    complex audit entries rest on this row alone: d=7 (0,7,0,...) and
+    d=10 (0,9,3,...), (3,6,4,...) and (3,8,3,...).
     """
-    require_solution(tv)
-    return _hirzebruch_verdict(tv)
-
-
-def _hirzebruch_verdict(tv: TVector) -> ExclusionVerdict:
     d, t = tv.d, tv.counts
-    if d < 6:
-        return ExclusionVerdict(None, "inapplicable: d < 6")
-    if t[-1] or t[-2] or t[-3]:
-        return ExclusionVerdict(None, "inapplicable: t_d, t_{d-1} or t_{d-2} is nonzero")
+    if d < 6 or t[-1] or t[-2] or t[-3]:
+        return None
     quadruple_lhs = 4 * t[0] + 3 * t[1]  # 4 (t2 + (3/4) t3)
     rhs = d + sum((k - 4) * t[k - 2] for k in range(5, d + 1))
     if quadruple_lhs < 4 * rhs:
@@ -413,27 +400,21 @@ def _hirzebruch_verdict(tv: TVector) -> ExclusionVerdict:
             "hirzebruch",
             f"t2 + (3/4) t3 = {Fraction(quadruple_lhs, 4)} < {rhs} = d + sum_(k>=5) (k-4) t_k",
         )
-    return ExclusionVerdict(None, "ok")
-
-
-def _mode_error(mode: str) -> ValueError:
-    return ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return None
 
 
 def apply_all(tv: TVector, mode: str) -> ExclusionVerdict:
-    """Run the filters cheapest-first; return the first exclusion, else passed.
+    """Run the rows cheapest-first; return the first exclusion, else passed.
 
-    Order is fixed (multiplicity sums, two pencils, line profiles, then in
-    complex mode the Hirzebruch bound, and last the point-pair budgets) so
-    audit trails are reproducible.  Point pairs run last so that every
-    exclusion an earlier filter makes keeps its criterion.  One pass over
-    the counts checks the pair-count identity and lists the multiplicities
-    for the two cheap filters, and the line profiles and their first mix
-    are computed once for the two profile filters, which build a verdict
-    only to exclude.
+    Order is fixed (multiplicity sums, two pencils, line profiles, then
+    the Hirzebruch bound where the mode admits no prime field, and last
+    the point-pair budgets) so audit trails are reproducible.  Point pairs
+    run last so that every exclusion an earlier row makes keeps its
+    criterion.  One pass over the counts checks the pair-count identity
+    and lists the multiplicities for the two cheap rows, and the line
+    profiles and their first mix are computed once for the rest.
     """
-    if mode not in MODES:
-        raise _mode_error(mode)
+    kinds = admitted_kinds(mode)
     d = k = tv.d
     imbalance = -(d * (d - 1) // 2)
     mults: list[int] = []  # descending
@@ -443,18 +424,13 @@ def apply_all(tv: TVector, mode: str) -> ExclusionVerdict:
             mults += [k] * count
         k -= 1
     _require_balanced(imbalance)
-    verdict = _multiplicity_sum_verdict(d, mults)
-    if verdict.is_excluded:
-        return verdict
-    verdict = _two_pencils_verdict(mults)
-    if verdict.is_excluded:
-        return verdict
-    ks, counts = _line_profiles(tv)
-    first = _profile_mix(tv, ks, counts)
-    if first is None:
-        return _parity_exclusion(tv, ks, counts)
-    if mode == MODE_COMPLEX:
-        verdict = _hirzebruch_verdict(tv)
-        if verdict.is_excluded:
-            return verdict
-    return _point_pairs_exclusion(tv, ks, counts, first) or ExclusionVerdict(None, "all filters passed")
+    verdict = _multiplicity_sum(d, mults) or _two_pencils(mults)
+    if verdict is None:
+        ks, counts = _line_profiles(tv)
+        first = _profile_mix(tv, ks, counts)
+        verdict = (
+            _parity_profile(tv, ks, counts, first)
+            or (None if PRIME in kinds else _hirzebruch(tv))
+            or _point_pairs(tv, ks, counts, first)
+        )
+    return verdict or ExclusionVerdict(None, "all filters passed")

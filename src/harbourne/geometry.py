@@ -250,7 +250,9 @@ class Certificate(Value):
             claimed = TVector.decode(cert.d, raw_claim)
         except ValueError as exc:
             raise CertificateError(f"claimed_tvector: {exc}") from None
-        return cls(label, field, cert.lines, claimed)
+        # no one holds cert yet: set its claim rather than parse every coordinate again
+        object.__setattr__(cert, "claimed_tvector", claimed)
+        return cert
 
 
 def _parse_lines(field: FieldDescriptor, lines) -> tuple:

@@ -12,13 +12,15 @@ realizable quotient is pinned down:
 
 A candidate meets the stages in this order, and the first that decides it
 ends its walk: the certificate database, the counting filters, the
-exhaustive incidence search, and in absolute mode the realization search
-over each prime field.  Each filter is a necessary condition for
-realizability over every field the mode admits (in complex mode only Q
-and Q(w) certificates count, and the Hirzebruch bound holds over C), so a
-certified T passes them all; and a verified certificate already proves
-what the incidence search would.  So a certified T runs no filter and no
-search, and in the default tables every realized candidate is a lookup.
+exhaustive incidence search, and, where the mode admits prime fields, the
+realization search over each prime field.  Each filter is a necessary
+condition for realizability over every field the mode admits (a mode is
+its admitted field kinds, ``criteria.admitted_kinds``: complex mode admits
+only Q and Q(w) certificates, and runs the Hirzebruch bound, which holds
+over C), so a certified T passes them all; and a verified certificate
+already proves what the incidence search would.  So a certified T runs no
+filter and no search, and in the default tables every realized candidate
+is a lookup.
 
 A table row is trustworthy only if nothing below its value is
 inconclusive; that integrity condition is checked and reported.
@@ -32,7 +34,7 @@ from math import comb
 
 from . import criteria
 from ._value import Value
-from .exactnum import _KINDS, FieldDescriptor
+from .exactnum import PRIME, FieldDescriptor
 from .geometry import (
     Certificate,
     _plane_residues,
@@ -49,8 +51,8 @@ ST_INFEASIBLE = "combinatorially_infeasible"
 ST_REALIZED = "realized"
 ST_INCONCLUSIVE = "inconclusive"
 
-ALL_KINDS = tuple(_KINDS)
-CHAR0_KINDS = tuple(kind for kind, record in _KINDS.items() if record.characteristic == 0)
+ALL_KINDS = criteria.admitted_kinds(criteria.MODE_ABSOLUTE)
+CHAR0_KINDS = criteria.admitted_kinds(criteria.MODE_COMPLEX)
 
 
 class TableIntegrityError(RuntimeError):
@@ -246,12 +248,12 @@ def classify_candidate(
 
     Stages, in order: ``db.find`` over the field kinds the mode admits;
     ``criteria.apply_all``; ``feasible_arrangement`` under ``node_budget``;
-    then, in absolute mode only, ``realize_over_prime_field`` for each
-    prime in ``fields`` whose plane has at least d lines.  An unknown mode
-    raises ``apply_all``'s ``ValueError`` before any lookup.
+    then, where the mode admits prime fields, ``realize_over_prime_field``
+    for each prime in ``fields`` whose plane has at least d lines.  An
+    unknown mode raises ``criteria.admitted_kinds``' ``ValueError`` before
+    any lookup.
     """
-    if mode not in criteria.MODES:
-        raise criteria._mode_error(mode)
+    kinds = criteria.admitted_kinds(mode)
     if db is None:
         db = builtin_certificates()
     q = quotient_fraction(tv)
@@ -260,7 +262,7 @@ def classify_candidate(
     # the mode admits, so a verified certificate's T passes them all; and its
     # intersection points are a clique partition of K_d with this T, so it
     # proves feasibility and no search is needed either
-    cert = db.find(tv, ALL_KINDS if mode == criteria.MODE_ABSOLUTE else CHAR0_KINDS)
+    cert = db.find(tv, kinds)
     if cert is not None:
         return CandidateStatus(tv, q, ST_REALIZED, None, "database certificate", cert)
 
@@ -282,7 +284,7 @@ def classify_candidate(
             f"(exhaustive, {outcome.nodes_explored} nodes)",
         )
 
-    if mode == criteria.MODE_ABSOLUTE:
+    if PRIME in kinds:
         budget_hit = False
         for p in fields:
             if tv.d > p * p + p + 1:

@@ -15,12 +15,15 @@ import pytest
 from harbourne.criteria import (
     MODE_ABSOLUTE,
     MODE_COMPLEX,
+    MODES,
+    _line_profiles,
+    _multiplicity_sum,
+    _parity_profile,
+    _point_pairs,
+    _profile_mix,
+    _two_pencils,
+    admitted_kinds,
     apply_all,
-    hirzebruch_filter,
-    multiplicity_sum_filter,
-    parity_profile_filter,
-    point_pairs_filter,
-    two_pencils_filter,
 )
 from harbourne.geometry import (
     Certificate,
@@ -167,6 +170,7 @@ def test_criterion_5_negative_search_evidence():
 def test_criterion_6_property_suites():
     configs = _collect_verified_configurations()
     assert len(configs) >= 28
+    complex_checked = 0
     for label, config in configs:
         d = config.d
         points = config.singular_points()
@@ -181,14 +185,20 @@ def test_criterion_6_property_suites():
             assert sum(m - 1 for m in on_line) == d - 1, label
 
         # abstract filters are necessary conditions, so realizations pass them
-        assert not multiplicity_sum_filter(tv).is_excluded, label
-        assert not two_pencils_filter(tv).is_excluded, label
-        assert not parity_profile_filter(tv).is_excluded, label
-        assert not point_pairs_filter(tv).is_excluded, label
+        ks, counts = _line_profiles(tv)
+        first = _profile_mix(tv, ks, counts)
+        assert _multiplicity_sum(d, tv.multiplicities()) is None, label
+        assert _two_pencils(tv.multiplicities()) is None, label
+        assert _parity_profile(tv, ks, counts, first) is None, label
+        assert _point_pairs(tv, ks, counts, first) is None, label
 
-        # Hirzebruch on characteristic-0 certificates with small top multiplicities
-        if config.field.kind != "prime" and tv.t(d) == 0 and tv.t(d - 1) == 0:
-            assert not hirzebruch_filter(tv).is_excluded, label
+        # a mode's filters hold over every field it admits (Hirzebruch only over C)
+        modes = [mode for mode in MODES if config.field.kind in admitted_kinds(mode)]
+        assert MODE_ABSOLUTE in modes, label
+        for mode in modes:
+            assert not apply_all(tv, mode).is_excluded, (label, mode)
+        complex_checked += MODE_COMPLEX in modes
+    assert complex_checked >= 26  # the Q and Q(w) configurations
 
     # realize -> verify round trip reproduces the requested T exactly
     for d, counts, p in [

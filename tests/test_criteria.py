@@ -9,15 +9,15 @@ from harbourne.criteria import (
     MODE_COMPLEX,
     MODES,
     ExclusionVerdict,
+    _hirzebruch,
     _line_profiles,
+    _multiplicity_sum,
+    _parity_profile,
+    _point_pairs,
     _profile_mix,
     _shape,
+    _two_pencils,
     apply_all,
-    hirzebruch_filter,
-    multiplicity_sum_filter,
-    parity_profile_filter,
-    point_pairs_filter,
-    two_pencils_filter,
 )
 from harbourne.incidence import SearchBudgetExceeded, feasible_arrangement
 from harbourne.pipeline import classify_candidate
@@ -33,50 +33,70 @@ def shapes(vector):
     return [_shape(ks, vec) for vec in counts]
 
 
+def multiplicity_sum(vector):
+    return _multiplicity_sum(vector.d, vector.multiplicities())
+
+
+def two_pencils(vector):
+    return _two_pencils(vector.multiplicities())
+
+
+def parity_profile(vector):
+    ks, counts = _line_profiles(vector)
+    return _parity_profile(vector, ks, counts, _profile_mix(vector, ks, counts))
+
+
+def point_pairs(vector):
+    """The point-pair row on T's first mix; None where no mix exists (a parity exclusion)."""
+    ks, counts = _line_profiles(vector)
+    first = _profile_mix(vector, ks, counts)
+    return None if first is None else _point_pairs(vector, ks, counts, first)
+
+
 class TestMultiplicitySum:
     def test_d5_triangular_violation(self):
-        v = multiplicity_sum_filter(tv(5, {2: 1, 3: 3}))
+        v = multiplicity_sum(tv(5, {2: 1, 3: 3}))
         assert v.is_excluded and v.criterion == "multiplicity_sum"
         assert "r=3" in v.detail
 
     def test_d8_with_sixfold_point(self):
-        v = multiplicity_sum_filter(tv(8, {2: 1, 3: 4, 6: 1}))
+        v = multiplicity_sum(tv(8, {2: 1, 3: 4, 6: 1}))
         assert v.is_excluded and "r=3" in v.detail
 
     def test_two_sixfold_points_on_nine_lines(self):
-        v = multiplicity_sum_filter(tv(9, {3: 2, 6: 2}))
+        v = multiplicity_sum(tv(9, {3: 2, 6: 2}))
         assert v.is_excluded and "r=2" in v.detail
 
     def test_all_double_points_pass(self):
-        assert not multiplicity_sum_filter(tv(4, {2: 6})).is_excluded
+        assert multiplicity_sum(tv(4, {2: 6})) is None
 
 
 class TestTwoPencils:
     def test_d10_case_with_five_and_four(self):
-        v = two_pencils_filter(tv(10, {2: 2, 3: 7, 4: 2, 5: 1}))
+        v = two_pencils(tv(10, {2: 2, 3: 7, 4: 2, 5: 1}))
         assert v.is_excluded and v.criterion == "two_pencils"
 
     def test_dual_hesse_passes(self):
-        assert not two_pencils_filter(tv(9, {3: 12})).is_excluded
+        assert two_pencils(tv(9, {3: 12})) is None
 
     def test_d8_realizable_vector_passes(self):
-        assert not two_pencils_filter(tv(8, {2: 4, 3: 6, 4: 1})).is_excluded
+        assert two_pencils(tv(8, {2: 4, 3: 6, 4: 1})) is None
 
     def test_single_point_vacuous(self):
-        assert not two_pencils_filter(tv(5, {5: 1})).is_excluded
+        assert two_pencils(tv(5, {5: 1})) is None
 
 
 class TestParityProfile:
     def test_d6_no_profile_exists(self):
-        v = parity_profile_filter(tv(6, {3: 5}))
+        v = parity_profile(tv(6, {3: 5}))
         assert v.is_excluded and v.criterion == "parity_profile"
 
     def test_d9_fourfold_point_unreachable(self):
-        v = parity_profile_filter(tv(9, {3: 10, 4: 1}))
+        v = parity_profile(tv(9, {3: 10, 4: 1}))
         assert v.is_excluded
 
     def test_fano_passes(self):
-        assert not parity_profile_filter(tv(7, {3: 7})).is_excluded
+        assert parity_profile(tv(7, {3: 7})) is None
 
     def test_profiles_respect_point_counts(self):
         # only one 4-fold point exists, so no line can cross two of them
@@ -89,31 +109,28 @@ class TestParityProfile:
 
 class TestHirzebruch:
     def test_fano_fails_over_complex(self):
-        v = hirzebruch_filter(tv(7, {3: 7}))
+        v = _hirzebruch(tv(7, {3: 7}))
         assert v.is_excluded and v.criterion == "hirzebruch"
 
     def test_dual_hesse_boundary_passes(self):
-        assert not hirzebruch_filter(tv(9, {3: 12})).is_excluded
+        assert _hirzebruch(tv(9, {3: 12})) is None
 
     def test_d10_f3_configuration_fails_over_complex(self):
-        assert hirzebruch_filter(tv(10, {3: 9, 4: 3})).is_excluded
+        assert _hirzebruch(tv(10, {3: 9, 4: 3})).is_excluded
 
     def test_inapplicable_when_big_points_present(self):
-        v = hirzebruch_filter(tv(5, {5: 1}))
-        assert not v.is_excluded and "inapplicable" in v.detail
-        v = hirzebruch_filter(tv(4, {2: 3, 3: 1}))
-        assert not v.is_excluded and "inapplicable" in v.detail
+        assert _hirzebruch(tv(5, {5: 1})) is None
+        assert _hirzebruch(tv(4, {2: 3, 3: 1})) is None
 
     @pytest.mark.parametrize("counts", [{7: 1}, {2: 6, 6: 1}, {2: 2, 3: 3, 5: 1}])
     def test_inapplicable_with_a_point_on_d_d_minus_1_or_d_minus_2_lines(self, counts):
         # for {2: 2, 3: 3, 5: 1}, t2 + (3/4) t3 = 17/4 < 8 = d + (5-4) t5, but the
         # published form needs t5 = 0 at d = 7
-        v = hirzebruch_filter(tv(7, counts))
-        assert not v.is_excluded and "t_{d-2}" in v.detail
+        assert _hirzebruch(tv(7, counts)) is None
 
     def test_inapplicable_below_six_lines(self):
-        v = hirzebruch_filter(tv(5, {2: 1, 3: 3}))
-        assert not v.is_excluded and "d < 6" in v.detail
+        # t2 + (3/4) t3 = 13/4 < 5 = d, but the published form needs d >= 6
+        assert _hirzebruch(tv(5, {2: 1, 3: 3})) is None
 
     @pytest.mark.parametrize(
         "d, counts",
@@ -127,26 +144,26 @@ class TestHirzebruch:
 
 class TestPointPairs:
     def test_d10_three_lines_of_three_fourfold_points(self):
-        v = point_pairs_filter(tv(10, {3: 7, 4: 4}))
+        v = point_pairs(tv(10, {3: 7, 4: 4}))
         assert v.is_excluded and v.criterion == "point_pairs"
         assert "3 x {4,4,4} need 9 pairs of 4-fold points" in v.detail
         assert "only C(4,2) = 6 exist" in v.detail
 
     def test_detail_names_a_mixed_budget(self):
-        v = point_pairs_filter(tv(7, {2: 3, 3: 4, 4: 1}))
+        v = point_pairs(tv(7, {2: 3, 3: 4, 4: 1}))
         assert v.is_excluded
         assert "4 x {4,3,2} need 4 pairs of a 2-fold and a 4-fold point" in v.detail
         assert "only 3*1 = 3 exist" in v.detail
 
     def test_detail_sums_every_spending_profile(self):
-        v = point_pairs_filter(tv(9, {2: 3, 3: 5, 4: 3}))
+        v = point_pairs(tv(9, {2: 3, 3: 5, 4: 3}))
         assert v.is_excluded
         assert "3 x {4,4,3} (6) + 6 x {4,3,3,2} (12) need 18 pairs of a 3-fold and a 4-fold point" in v.detail
         assert "only 5*3 = 15 exist" in v.detail
 
     def test_realizable_vectors_pass(self):
         for vector in (tv(7, {3: 7}), tv(9, {3: 12}), tv(10, {3: 9, 4: 3}), tv(10, {2: 3, 3: 10, 4: 2})):
-            assert not point_pairs_filter(vector).is_excluded, vector
+            assert point_pairs(vector) is None, vector
 
     def test_overdrawn_first_mix_is_not_enough(self):
         # the first mix puts {3,3,2} on four lines, which needs 4 of the
@@ -155,12 +172,8 @@ class TestPointPairs:
         assert shapes(vector) == ["{3,3,2}", "{3,2,2,2}", "{2,2,2,2,2}"]
         ks, counts = _line_profiles(vector)
         assert _profile_mix(vector, ks, counts) == (4, 1, 1)
-        assert not point_pairs_filter(vector).is_excluded
+        assert point_pairs(vector) is None
         assert feasible_arrangement(vector).feasible
-
-    def test_inapplicable_without_a_profile_mix(self):
-        v = point_pairs_filter(tv(9, {3: 10, 4: 1}))
-        assert not v.is_excluded and "inapplicable" in v.detail
 
     def test_low_d_exclusions_are_proven_infeasible(self):
         # every point_pairs exclusion at d <= 8, each confirmed by the exhaustive search
@@ -298,19 +311,17 @@ class TestApplyAll:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_same_verdict_as_the_filters_one_by_one(self, mode):
-        # apply_all reads the counts once; each public filter starts afresh
-        filters = [multiplicity_sum_filter, two_pencils_filter, parity_profile_filter]
+        # apply_all reads the counts once and shares the profiles; here each row starts afresh
+        rows = [multiplicity_sum, two_pencils, parity_profile]
         if mode == MODE_COMPLEX:
-            filters.append(hirzebruch_filter)
-        filters.append(point_pairs_filter)
+            rows.append(_hirzebruch)
+        rows.append(point_pairs)
         with pytest.warns(UserWarning, match="d=11 exceeds the supported range"):
             vectors = [vector for d in range(2, 12) for vector in enumerate_tvectors(d)]
         assert len(vectors) == 563 + 619
         for vector in vectors:
-            verdicts = (f(vector) for f in filters)
-            expected = next((v for v in verdicts if v.is_excluded), None)
-            if expected is None:
-                expected = ExclusionVerdict(None, "all filters passed")
+            exclusions = (row(vector) for row in rows)
+            expected = next((v for v in exclusions if v is not None), ExclusionVerdict(None, "all filters passed"))
             assert apply_all(vector, mode) == expected, vector
 
     @pytest.mark.parametrize("mode", MODES)
@@ -331,22 +342,24 @@ class TestApplyAll:
 
 
 def test_standalone_profile_filters_up_to_ten_lines_are_pinned():
-    """Each profile filter called alone, with its pass details ("inapplicable: ...")."""
-    verdicts = [
-        [d, vector.encode(), parity_profile_filter(vector).to_json(), point_pairs_filter(vector).to_json()]
+    """Each profile row called alone on every T, with its exclusion or null."""
+    exclusions = [
+        [d, vector.encode(), *(v and v.to_json() for v in (parity_profile(vector), point_pairs(vector)))]
         for d in range(2, 11)
         for vector in enumerate_tvectors(d)
     ]
-    assert len(verdicts) == 563
-    digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
-    assert digest == "4a93bb13825498be0c8c1785c3fe25627e818a7ef23244af5eabe57cfecc7e15"
+    assert len(exclusions) == 563
+    assert sum(e[2] is not None for e in exclusions) == 151
+    assert sum(e[3] is not None for e in exclusions) == 184
+    digest = hashlib.sha256(json.dumps(exclusions).encode()).hexdigest()
+    assert digest == "0e42e72906439bfeaa1b9f217d81b14c404aeb696f0912be4e38a4fdc734f62d"
 
 
 def test_filters_are_necessary_conditions_for_feasibility():
     """A parity exclusion must always be confirmed by the exhaustive search."""
     for d in range(2, 9):
         for vector in enumerate_tvectors(d):
-            if parity_profile_filter(vector).is_excluded:
+            if parity_profile(vector) is not None:
                 assert not feasible_arrangement(vector).feasible, vector
 
 

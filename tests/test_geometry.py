@@ -425,6 +425,23 @@ class TestCertificates:
         reloaded = Certificate.from_json(json.loads(dumped))
         assert json.dumps(reloaded.to_json()) == dumped
 
+    @pytest.mark.parametrize("claim", [True, False], ids=["claimed", "unclaimed"])
+    def test_from_json_parses_each_coordinate_once(self, monkeypatch, claim):
+        data = harbourne.builtin_certificates().get("quadrilateral-7").to_json()
+        if not claim:
+            del data["claimed_tvector"]
+        calls = []
+
+        def counted(value, field):
+            calls.append(value)
+            return scalar_from_json(value, field)
+
+        monkeypatch.setattr("harbourne.geometry.scalar_from_json", counted)
+        cert = Certificate.from_json(data)
+        assert len(calls) == 21  # 7 lines of 3 coordinates
+        assert (cert.claimed_tvector is not None) is claim
+        assert cert.to_json() == data
+
     def test_schema_field_order(self):
         config = rational_config([(1, 0, 0), (0, 1, 0)])
         cert = certificate_from_configuration("t", config, TVector.from_mapping(2, {2: 1}))

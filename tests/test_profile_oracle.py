@@ -23,7 +23,7 @@ from itertools import combinations, product
 
 import pytest
 
-from harbourne.criteria import _line_profiles, _profile_mix, point_pairs_filter
+from harbourne.criteria import _line_profiles, _point_pairs, _profile_mix
 from harbourne.tspace import enumerate_tvectors
 
 TVECTORS = {d: enumerate_tvectors(d) for d in range(2, 11)}
@@ -112,7 +112,10 @@ def test_point_pairs_exclude_exactly_when_no_mix_fits_up_to_eight_lines():
     for vector in small(8):
         ks, found, meets = mixes(vector)
         expected = bool(meets) and not any(fits_pair_budgets(vector, ks, found, x) for x in meets)
-        assert point_pairs_filter(vector).is_excluded is expected, vector
+        # the row runs on the first mix, where one exists
+        rows = _line_profiles(vector)
+        first = _profile_mix(vector, *rows)
+        assert (first is not None and _point_pairs(vector, *rows, first) is not None) is expected, vector
         excluded += expected
     assert excluded == 24
 
