@@ -187,10 +187,21 @@ def _profile_mix(tv: TVector, ks: list[int], counts: list[tuple[int, ...]]) -> t
     totals = [k * tv.counts[k - 2] for k in ks]
     # lines of a configuration tend to look alike, so the profiles nearest the
     # average line (totals / d) go first; the first mix then fits the point-pair
-    # budgets more often
-    distance = [sum([(d * c - t) ** 2 for c, t in zip(vec, totals)]) for vec in counts]
-    order = sorted(range(len(counts)), key=distance.__getitem__)
-    found = _first_mix(d, [counts[i] for i in order], totals, len(ks))
+    # budgets more often.  Equal distances keep the profiles' order.
+    keyed = []
+    for i, vec in enumerate(counts):
+        distance = 0
+        for c, total in zip(vec, totals):
+            excess = d * c - total
+            distance += excess * excess
+        keyed.append((distance, i))
+    keyed.sort()
+    order = []
+    vectors = []
+    for _, i in keyed:
+        order.append(i)
+        vectors.append(counts[i])
+    found = _first_mix(d, vectors, totals, len(ks))
     if found is None:
         return None
     mix = [0] * len(counts)
@@ -217,14 +228,24 @@ def _first_mix(
     # a nonzero least can rule a state out
     terms: list[list[tuple[int, int]]] = [[]] * last
     floors: list[list[tuple[int, int]]] = [[]] * last
-    ceilings: list[tuple[int, ...]] = [()] * last
-    low, high = vectors[last], vectors[last][:exact]
+    ceilings: list[list[int]] = [[]] * last
+    low = list(vectors[last])
+    high = low[:exact]
     for idx in range(last - 1, -1, -1):
+        term = terms[idx] = []
+        floor = floors[idx] = []
         vec = vectors[idx]
-        terms[idx] = [(a, c) for a, c in enumerate(vec) if c]
-        low = tuple(map(min, low, vec))
-        high = ceilings[idx] = tuple(map(max, high, vec))
-        floors[idx] = [(a, c) for a, c in enumerate(low) if c]
+        for a, c in enumerate(vec):
+            if c:
+                term.append((a, c))
+            if c < low[a]:
+                low[a] = c
+            if low[a]:
+                floor.append((a, low[a]))
+        for a in range(exact):
+            if vec[a] > high[a]:
+                high[a] = vec[a]
+        ceilings[idx] = high[:]
     left = list(totals)
     lines_left = lines
     mix = [0] * (last + 1)

@@ -44,6 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from ._value import Value
 from .exactnum import (
@@ -139,11 +140,12 @@ def realize_over_prime_field(
     require_solution(tv)
     lines = _plane_residues(p)
     d = tv.d
+    counts = tv.counts
     if d > len(lines):
         raise ValueError(f"cannot pick {d} distinct lines in PG(2,{p}) ({len(lines)} lines)")
     # d lines of p + 1 points cover d(p + 1) incidences; a k-fold point takes k of them
-    simple = d * (p + 1) - sum(k * tv.t(k) for k in range(2, d + 1))
-    covered = tv.s + simple  # points on >= 1 chosen line in any configuration with T
+    simple = d * (p + 1) - sum(map(mul, range(2, d + 1), counts))
+    covered = sum(counts) + simple  # points on >= 1 chosen line in any configuration with T
     if simple < 0 or covered > len(lines):
         return RealizationOutcome(None, True, 0)
     rows = _plane_incidence(p)
@@ -152,7 +154,7 @@ def realize_over_prime_field(
     # t_m + ... + t_d for m >= 2; it only falls as lines are added
     room = [0, covered] + [0] * d
     for m in range(d, 1, -1):
-        room[m] = room[m + 1] + tv.t(m)
+        room[m] = room[m + 1] + counts[m - 2]
 
     chosen: list[int] = []
     on = [0] * len(lines)  # on[pt] = number of chosen lines through point pt

@@ -27,6 +27,11 @@ keeps four summaries current, so no node rescans the state:
   k under the degree and share prunes below, so candidates, seeding and
   the completability check each test one bit.
 
+Set-up is one pass over the sizes T has: it lays out the slot blocks
+and the per-size share masks, and the per-degree masks are shifts of
+one reversed bitmask of the representable degrees.  A partition found is
+read off the slots already in normal form (``_witness``), with no sort.
+
 Isomorph rejection (McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 26 (1998)) works stage by stage, where stage i is the pairs
 (i, .).  Every member of a clique joins its slot during the stage of the
@@ -160,20 +165,52 @@ def resolve_node_budget(node_budget: int | None) -> int:
 
 
 def _representable_degrees(tv: TVector) -> int:
-    """Bitmask of the totals sum (k-1)*a_k with 0 <= a_k <= t_k up to d-1: bit v for total v."""
-    limit = tv.d - 1
-    within = (1 << tv.d) - 1
-    reachable = 1
+    """Bitmask of the totals sum (k-1)*a_k with 0 <= a_k <= t_k up to d-1: bit d - v for total v.
+
+    Reversed, so that bit c + k is set iff a line of committed degree c
+    that joins a slot of size k leaves a representable remainder d - c - k.
+    """
+    d = tv.d
+    limit = d - 1
+    reachable = 1 << d
     for part, count in enumerate(tv.counts, 1):
-        for _ in range(min(count, limit // part)):
-            reachable = (reachable | reachable << part) & within
-    return reachable
+        if count:
+            for _ in range(min(count, limit // part)):
+                reachable |= reachable >> part
+    return reachable & ~1  # bit 0 would be the total d
 
 
 @cache
 def _pairs(d: int) -> tuple[tuple[int, int], ...]:
     """The pairs (i, j) of lines i < j < d in lexicographic order, the order the search covers them."""
     return tuple((i, j) for i in range(d) for j in range(i + 1, d))
+
+
+def _witness(d: int, slot_lines: list[int], line_slots: list[list[int]]) -> CliquePartition:
+    """The clique partition of a finished search, read off in normal form without sorting.
+
+    Two cliques share at most one line, so the normal order is that of
+    each clique's two smallest lines.  A line seeds a slot only at its own
+    stage, after every slot it joins, and seeds them in the order of their
+    second smallest line, so ``line_slots[i]`` ends with the slots whose
+    smallest line is i, already in that order.
+    """
+    points = []
+    for line, slots in enumerate(line_slots):
+        below = (1 << line) - 1
+        for slot in slots:
+            rest = slot_lines[slot]
+            if not rest & below:
+                clique = []
+                while rest:
+                    low = rest & -rest
+                    clique.append(low.bit_length() - 1)
+                    rest ^= low
+                points.append(tuple(clique))
+    partition = object.__new__(CliquePartition)
+    object.__setattr__(partition, "d", d)
+    object.__setattr__(partition, "points", tuple(points))
+    return partition
 
 
 def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchOutcome:
@@ -187,30 +224,39 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
     budget = resolve_node_budget(node_budget)
     require_solution(tv)
     d = tv.d
+    counts = tv.counts
+    n_slots = s = sum(counts)
 
-    sizes = tv.multiplicities()  # slot sizes, descending
-    n_slots = s = len(sizes)
+    # One pass over the sizes T has, largest first.  The slots of one size
+    # form a block whose empty slots are its last unseeded[size].
+    # allowed[line] is deg_ok[committed[line]], the sizes that keep the
+    # remaining degree representable, ANDed with share_mask[k] for each
+    # size-k slot of the line, the sizes k' with (k-1)(k'-1) + 2 <= s;
+    # shares[line] stacks that AND.
+    sizes: list[int] = []  # slot sizes, descending
+    seed_sizes: list[int] = []  # the sizes T has, descending
+    seeds = 0  # the same as a bitmask
+    block_end = [0] * (d + 1)
+    unseeded = [0] * (d + 1)
+    share_mask = [0] * (d + 1)
+    size = d
+    for count in reversed(counts):
+        if count:
+            sizes += [size] * count
+            seed_sizes.append(size)
+            seeds |= 1 << size
+            block_end[size] = len(sizes)
+            unseeded[size] = count
+            share_mask[size] = (2 << min(d, (s - 2) // (size - 1) + 1)) - 1
+        size -= 1
+    degrees = _representable_degrees(tv)
+    deg_ok = [degrees >> c & seeds for c in range(d)]
     slot_lines = [0] * n_slots  # bitmask of the lines in each slot
     line_slots: list[list[int]] = [[] for _ in range(d)]  # in joining order
     committed = [0] * d  # sum (size - 1) over slots containing the line
     met = [0] * d  # bitmask of the other lines sharing a slot with the line
     partial = 0  # bitmask of the slots with 0 < fill < size
-    # the slots of one size form a block whose empty slots are its last unseeded[size]
-    block_end = [0] * (d + 1)
-    unseeded = [0] * (d + 1)
-    for slot, size in enumerate(sizes):
-        block_end[size] = slot + 1
-        unseeded[size] += 1
     all_lines = (1 << d) - 1
-    seed_sizes = [size for size in range(d, 1, -1) if unseeded[size]]  # the sizes T has, descending
-    # allowed[line] is deg_ok[committed[line]], the sizes that keep the remaining
-    # degree representable, ANDed with share_mask[k] for each size-k slot of the
-    # line, the sizes k' with (k-1)(k'-1) + 2 <= s; shares[line] stacks that AND
-    degrees = _representable_degrees(tv)
-    deg_ok = [sum(1 << k for k in seed_sizes if c + k <= d and degrees >> d - c - k & 1) for c in range(d)]
-    share_mask = [0] * (d + 1)
-    for k1 in seed_sizes:
-        share_mask[k1] = sum(1 << k2 for k2 in seed_sizes if (k1 - 1) * (k2 - 1) + 2 <= s)
     shares = [[-1] for _ in range(d)]
     allowed = [deg_ok[0]] * d
 
@@ -248,8 +294,7 @@ def feasible_arrangement(tv: TVector, node_budget: int | None = None) -> SearchO
                 break
             ptr += 1
         if ptr == n_pairs:
-            points = (tuple(line for line in range(d) if mask >> line & 1) for mask in slot_lines)
-            return SearchOutcome(CliquePartition(d, tuple(points)), nodes)
+            return SearchOutcome(_witness(d, slot_lines, line_slots), nodes)
         while stage < i:
             split_twins(stage)
             stage += 1

@@ -32,20 +32,27 @@ class InvalidDegreeError(ValueError):
 class TVector(Value):
     """Counts (t_2, ..., t_d) of singular points by multiplicity.
 
-    ``counts[i]`` holds t_{i+2}.  Construction only checks shape and
-    non-negativity; whether the pair-count identity holds is a separate
-    question answered by :func:`identity_imbalance`, and
-    :func:`require_solution` enforces it.
+    ``counts[i]`` holds t_{i+2}.  Construction only checks types, shape
+    and non-negativity; whether the pair-count identity holds is a
+    separate question answered by :func:`identity_imbalance`, and
+    :func:`require_solution` enforces it.  ``d`` and every count must be
+    an ``int`` (not a ``bool``): nothing is converted, so 0.5 or "1" is
+    refused rather than read as 0 or 1.
     """
 
     __slots__ = ("d", "counts")
 
     def __init__(self, d: int, counts: tuple[int, ...]) -> None:
+        if type(d) is not int:
+            raise ValueError(f"d must be an int, got {d!r}")
         if d < 2:
             raise InvalidDegreeError(f"need at least 2 lines, got d={d}")
-        counts = tuple(map(int, counts))
+        counts = tuple(counts)
         if len(counts) != d - 1:
             raise ValueError(f"expected {d - 1} counts (t_2..t_{d}), got {len(counts)}")
+        for count in counts:
+            if type(count) is not int:
+                raise ValueError(f"multiplicity counts must be ints, got {count!r} in {counts}")
         if min(counts) < 0:  # d >= 2, so there is at least one count
             raise ValueError(f"negative multiplicity count in {counts}")
         object.__setattr__(self, "d", d)
@@ -94,7 +101,13 @@ class TVector(Value):
 
 def identity_imbalance(tv: TVector) -> int:
     """sum t_k * C(k,2) - C(d,2); zero exactly for solution vectors."""
-    return sum(t * (k * (k - 1) // 2) for k, t in enumerate(tv.counts, 2)) - comb(tv.d, 2)
+    imbalance = -comb(tv.d, 2)
+    k = 2
+    for t in tv.counts:
+        if t:
+            imbalance += t * (k * (k - 1) // 2)
+        k += 1
+    return imbalance
 
 
 def require_solution(tv: TVector) -> None:

@@ -163,15 +163,15 @@ def test_search_deeper_than_the_python_stack():
 
 
 def test_representable_degrees_match_brute_force_subset_sums():
-    """Bit v is set iff v <= d-1 is a sum of (k-1)*a_k with 0 <= a_k <= t_k, for every T at d <= 10."""
-    assert _representable_degrees(tv(7, {3: 7})) == 0b1010101
+    """Bit d - v is set iff v <= d-1 is a sum of (k-1)*a_k with 0 <= a_k <= t_k, for every T at d <= 10."""
+    assert _representable_degrees(tv(7, {3: 7})) == 0b10101010
     for d in range(2, 11):
         for vector in enumerate_tvectors(d):
             totals = {
                 sum(part * a for part, a in enumerate(choice, 1))
                 for choice in product(*(range(t + 1) for t in vector.counts))
             }
-            assert _representable_degrees(vector) == sum(1 << v for v in totals if v < d), vector
+            assert _representable_degrees(vector) == sum(1 << d - v for v in totals if v < d), vector
 
 
 def test_budget_exhaustion_raises():

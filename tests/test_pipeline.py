@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ from harbourne import criteria, pipeline, tspace
 from harbourne.criteria import MODE_ABSOLUTE, MODE_COMPLEX, MODES
 from harbourne.pipeline import (
     ST_EXCLUDED,
+    ST_INCONCLUSIVE,
     ST_INFEASIBLE,
     ST_REALIZED,
     DEFAULT_FIELDS,
@@ -209,6 +211,35 @@ class TestClassify:
         report = verify_certificate(st.certificate)
         assert report.tvector == tv(9, {3: 12})
         assert report.value == st.q
+
+    def test_every_candidate_up_to_ten_lines_is_pinned(self, db):
+        """The whole path of every T at d <= 10, filter survivors through both searches.
+
+        The default tables certify or exclude every entry they reach, so
+        only this sweep runs ``feasible_arrangement`` and
+        ``realize_over_prime_field`` from ``classify_candidate``.
+        """
+        statuses = Counter()
+        record = []
+        for mode in MODES:
+            for d in range(2, 11):
+                for vector in tspace.enumerate_tvectors(d):
+                    st = classify_candidate(vector, mode, (2, 3), db, 20_000)
+                    statuses[mode, st.status] += 1
+                    cert = st.certificate
+                    found = cert.to_json() if cert is not None and cert.label.startswith("search-") else None
+                    record.append([mode, d, st.to_json(), found])
+        assert statuses == {
+            (MODE_ABSOLUTE, ST_EXCLUDED): 335,
+            (MODE_ABSOLUTE, ST_REALIZED): 39,
+            (MODE_ABSOLUTE, ST_INCONCLUSIVE): 189,
+            (MODE_COMPLEX, ST_EXCLUDED): 341,
+            (MODE_COMPLEX, ST_REALIZED): 25,
+            (MODE_COMPLEX, ST_INCONCLUSIVE): 197,
+        }
+        assert sum(found is not None for *_, found in record) == 12
+        digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+        assert digest == "78ef0ff1d35e0051f41e46f0984fc1ed3c5e9ddc527334c8219168309097043e"
 
 
 def _empty_db():

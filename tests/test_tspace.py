@@ -210,6 +210,25 @@ def test_decode_rejects_garbage():
         TVector(4, (1, -1, 0))
 
 
+@pytest.mark.parametrize(
+    "d, counts, message",
+    [
+        (3, (0.5, 1), "multiplicity counts must be ints, got 0.5 in (0.5, 1)"),
+        (3, (3, 0.0), "multiplicity counts must be ints, got 0.0 in (3, 0.0)"),
+        (2, ("1",), "multiplicity counts must be ints, got '1' in ('1',)"),
+        (2, (True,), "multiplicity counts must be ints, got True in (True,)"),
+        (2.0, (1,), "d must be an int, got 2.0"),
+        (True, (), "d must be an int, got True"),
+        ("2", (1,), "d must be an int, got '2'"),
+    ],
+)
+def test_non_int_input_is_refused_not_converted(d, counts, message):
+    # int(0.5) is 0: converting made d=3:(0.5,1) the pencil d=3:(0,1), realized by pencil-3
+    with pytest.raises(ValueError) as raised:
+        TVector(d, counts)
+    assert str(raised.value) == message
+
+
 @given(st.integers(2, 10))
 def test_multiplicities_consistent(d):
     for tv in enumerate_tvectors(d)[:5]:
