@@ -34,9 +34,6 @@ from ._value import Value
 from .exactnum import EISENSTEIN, PRIME, RATIONAL
 from .tspace import TVector, _require_balanced
 
-PASSED = "passed"
-EXCLUDED = "excluded"
-
 MODE_ABSOLUTE = "absolute"
 MODE_COMPLEX = "complex"
 # each mode is the field kinds whose certificates it admits, in ``exactnum._KINDS`` order
@@ -73,12 +70,9 @@ class ExclusionVerdict(Value):
     def is_excluded(self) -> bool:
         return self.criterion is not None
 
-    @property
-    def status(self) -> str:
-        return EXCLUDED if self.is_excluded else PASSED
-
     def to_json(self) -> dict:
-        return {"status": self.status, "criterion": self.criterion, "detail": self.detail}
+        status = "passed" if self.criterion is None else "excluded"
+        return {"status": status, "criterion": self.criterion, "detail": self.detail}
 
 
 def _multiplicity_sum(d: int, mults: list[int]) -> ExclusionVerdict | None:

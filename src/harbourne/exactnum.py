@@ -5,8 +5,8 @@ A certificate's coordinates lie in Q, in F_p for p in {2, 3, 5, 7, 11,
 ``Fraction`` over Q, a residue ``int`` in [0, p) over F_p and a pair
 ``(a, b)`` of ``Fraction`` over Q(w).  Everything the program knows of a
 kind lives in its one record in ``_KINDS``: how to parse a wire scalar,
-how to emit one, how to clear a line to ring integers (Z, Z/p or Z[w]),
-that ring's ``(times, plus, minus, is_zero)``, and the characteristic.
+how to emit one, how to clear a line to ring integers (Z, Z/p or Z[w])
+and that ring's ``(times, plus, minus, is_zero)``.
 
 ``scalar_from_json`` is the one parser, and ``Certificate`` runs it on
 every coordinate, so field membership is checked there and nowhere else.
@@ -134,18 +134,16 @@ def _eisenstein_sub(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 
 # One record per field kind; p is the field's modulus, None outside F_p.  parse(data, p)
 # reads a wire scalar into its plain value and emit(value) writes it back; clear(line)
-# scales a parsed line to ring integers and ring(p) is (times, plus, minus, is_zero) on
-# them.  The characteristic is None where it is p.
-_Kind = namedtuple("_Kind", "parse emit clear ring characteristic")
+# scales a parsed line to ring integers and ring(p) is (times, plus, minus, is_zero) on them.
+_Kind = namedtuple("_Kind", "parse emit clear ring")
 _KINDS = {
-    RATIONAL: _Kind(_rational, str, _cleared_rational, lambda p: (mul, add, sub, (0).__eq__), 0),
-    PRIME: _Kind(_residue, int, tuple, lambda p: (mul, add, sub, lambda x: x % p == 0), None),
+    RATIONAL: _Kind(_rational, str, _cleared_rational, lambda p: (mul, add, sub, (0).__eq__)),
+    PRIME: _Kind(_residue, int, tuple, lambda p: (mul, add, sub, lambda x: x % p == 0)),
     EISENSTEIN: _Kind(
         _eisenstein,
         lambda x: [str(x[0]), str(x[1])],
         _cleared_eisenstein,
         lambda p: (_eisenstein_mul, _eisenstein_add, _eisenstein_sub, (0, 0).__eq__),
-        0,
     ),
 }
 

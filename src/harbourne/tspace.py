@@ -25,19 +25,14 @@ from operator import neg
 from ._value import Value
 
 
-class InvalidDegreeError(ValueError):
-    """Raised for line counts below 2."""
-
-
 class TVector(Value):
     """Counts (t_2, ..., t_d) of singular points by multiplicity.
 
     ``counts[i]`` holds t_{i+2}.  Construction only checks types, shape
     and non-negativity; whether the pair-count identity holds is a
-    separate question answered by :func:`identity_imbalance`, and
-    :func:`require_solution` enforces it.  ``d`` and every count must be
-    an ``int`` (not a ``bool``): nothing is converted, so 0.5 or "1" is
-    refused rather than read as 0 or 1.
+    separate question, which :func:`require_solution` enforces.  ``d``
+    and every count must be an ``int`` (not a ``bool``): nothing is
+    converted, so 0.5 or "1" is refused rather than read as 0 or 1.
     """
 
     __slots__ = ("d", "counts")
@@ -46,7 +41,7 @@ class TVector(Value):
         if type(d) is not int:
             raise ValueError(f"d must be an int, got {d!r}")
         if d < 2:
-            raise InvalidDegreeError(f"need at least 2 lines, got d={d}")
+            raise ValueError(f"need at least 2 lines, got d={d}")
         counts = tuple(counts)
         if len(counts) != d - 1:
             raise ValueError(f"expected {d - 1} counts (t_2..t_{d}), got {len(counts)}")
@@ -99,20 +94,15 @@ class TVector(Value):
         return f"d={self.d}:({self.encode()})"
 
 
-def identity_imbalance(tv: TVector) -> int:
-    """sum t_k * C(k,2) - C(d,2); zero exactly for solution vectors."""
-    imbalance = -comb(tv.d, 2)
+def require_solution(tv: TVector) -> None:
+    """Raise ValueError, naming the imbalance, unless T solves the pair-count identity."""
+    imbalance = -comb(tv.d, 2)  # sum t_k * C(k,2) - C(d,2)
     k = 2
     for t in tv.counts:
         if t:
             imbalance += t * (k * (k - 1) // 2)
         k += 1
-    return imbalance
-
-
-def require_solution(tv: TVector) -> None:
-    """Raise ValueError, naming the imbalance, unless T solves the pair-count identity."""
-    _require_balanced(identity_imbalance(tv))
+    _require_balanced(imbalance)
 
 
 def _require_balanced(imbalance: int) -> None:
@@ -136,13 +126,12 @@ def quotient_fraction(tv: TVector) -> Fraction:
     return Fraction(tv.d * tv.d - weighted, s)
 
 
-def render_decimal(x: Fraction, places: int = 6) -> str:
-    """Fixed-point rendering, exact rounding (ties to even)."""
-    scaled = round(x * 10**places)
+def render_decimal(x: Fraction) -> str:
+    """Six-place fixed-point rendering, exact rounding (ties to even)."""
+    scaled = round(x * 10**6)
     sign = "-" if scaled < 0 else ""
-    digits = abs(scaled)
-    whole, frac = divmod(digits, 10**places)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    whole, frac = divmod(abs(scaled), 10**6)
+    return f"{sign}{whole}.{frac:06d}"
 
 
 def render_mixed(x: Fraction) -> str:
@@ -166,7 +155,7 @@ def enumerate_tvectors(d: int, q_ceiling: Fraction | None = None) -> list[TVecto
     process; every call returns a new list.
     """
     if d < 2:
-        raise InvalidDegreeError(f"need at least 2 lines, got d={d}")
+        raise ValueError(f"need at least 2 lines, got d={d}")
     if d > 10:
         warnings.warn(f"enumeration for d={d} exceeds the supported range d <= 10", stacklevel=2)
     tvectors, quotients = _sorted_tspace(d)

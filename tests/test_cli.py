@@ -402,6 +402,37 @@ class TestTable:
         assert code == 4
         assert "integrity" in err
 
+    def test_rows_failing_their_integrity_check_are_flagged(self, capsys, monkeypatch):
+        # with only the pencils certified over characteristic 0, every T below q = 0 is
+        # inconclusive: the table still prints, flags the rows and names each culprit
+        full = pipeline.builtin_certificates()
+        pencils = pipeline.CertificateDatabase([full.get(f"pencil-{d}") for d in range(2, 6)])
+        monkeypatch.setattr(pipeline, "builtin_certificates", lambda: pencils)
+        code, out, err = run(capsys, "table", "--max-d", "5", "--mode", "complex")
+        assert code == 4
+        assert out == (
+            "d  2             3             4             5           \n"
+            "H  0 (0.000000)  0 (0.000000)  0 (0.000000)  0 (0.000000)\n"
+            "\n"
+            "d=2: minimum 0 realized by pencil-2\n"
+            "d=3: minimum 0 realized by pencil-3  [INTEGRITY FAILURE]\n"
+            "d=4: minimum 0 realized by pencil-4  [INTEGRITY FAILURE]\n"
+            "d=5: minimum 0 realized by pencil-5  [INTEGRITY FAILURE]\n"
+        )
+        culprits = [
+            (3, "3,0", "-1"),
+            (4, "6,0,0", "-4/3"),
+            (4, "3,1,0", "-5/4"),
+            (5, "4,2,0,0", "-3/2"),
+            (5, "7,1,0,0", "-3/2"),
+            (5, "10,0,0,0", "-3/2"),
+            (5, "4,0,1,0", "-7/5"),
+        ]
+        assert err == "".join(
+            f"table integrity error: d={d} candidate {t} (q={q}) is inconclusive below the minimum\n"
+            for d, t, q in culprits
+        )
+
     @pytest.mark.parametrize("mode", ["absolute", "complex"])
     def test_zero_budget_changes_no_byte(self, capsys, mode):
         # every entry is decided by a filter or a certificate, so no search meets the budget

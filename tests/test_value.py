@@ -165,3 +165,23 @@ def test_import_and_database_build_skip_dataclasses_and_inspect():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_package_top_level_exposes_only_builtin_certificates():
+    # every other name is imported from its module, e.g. harbourne.pipeline.compute_table
+    child = (
+        "import sys, types\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import harbourne\n"
+        "harbourne.builtin_certificates()\n"
+        "print(sorted(name for name, value in vars(harbourne).items()\n"
+        "             if not name.startswith('_') and not isinstance(value, types.ModuleType)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", child, str(SRC)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "['builtin_certificates']"
