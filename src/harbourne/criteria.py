@@ -27,8 +27,7 @@ Filters never prove existence; sufficiency is the incidence module's job.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+from math import gcd
 
 from ._value import Value
 from .exactnum import EISENSTEIN, PRIME, RATIONAL
@@ -167,7 +166,10 @@ def _line_profiles(tv: TVector) -> tuple[list[int], list[tuple[int, ...]]]:
 
 def _shape(ks: list[int], vec: tuple[int, ...]) -> str:
     """The profile with count vector ``vec`` over ``ks``, descending, e.g. "{4,3,3}"."""
-    return "{" + ",".join(str(k) for k, c in zip(ks, vec) for _ in range(c)) + "}"
+    parts: list[str] = []
+    for k, c in zip(ks, vec):
+        parts += [str(k)] * c
+    return "{" + ",".join(parts) + "}"
 
 
 def _profile_mix(tv: TVector, ks: list[int], counts: list[tuple[int, ...]]) -> tuple[int, ...] | None:
@@ -177,25 +179,22 @@ def _profile_mix(tv: TVector, ks: list[int], counts: list[tuple[int, ...]]) -> t
     jointly contain m * t_m occurrences of m (each of the t_m points of
     multiplicity m lies on exactly m lines).
     """
-    d = tv.d
-    totals = [k * tv.counts[k - 2] for k in ks]
+    d, t = tv.d, tv.counts
+    totals = [k * t[k - 2] for k in ks]
+    if len(counts) < 2:
+        return _first_mix(d, counts, totals, len(ks))
     # lines of a configuration tend to look alike, so the profiles nearest the
     # average line (totals / d) go first; the first mix then fits the point-pair
-    # budgets more often.  Equal distances keep the profiles' order.
-    keyed = []
-    for i, vec in enumerate(counts):
+    # budgets more often.  The sort is stable: equal distances keep the profiles' order.
+    distances = []
+    for vec in counts:
         distance = 0
-        for c, total in zip(vec, totals):
-            excess = d * c - total
+        for a, total in enumerate(totals):
+            excess = d * vec[a] - total
             distance += excess * excess
-        keyed.append((distance, i))
-    keyed.sort()
-    order = []
-    vectors = []
-    for _, i in keyed:
-        order.append(i)
-        vectors.append(counts[i])
-    found = _first_mix(d, vectors, totals, len(ks))
+        distances.append(distance)
+    order = sorted(range(len(counts)), key=distances.__getitem__)
+    found = _first_mix(d, [counts[i] for i in order], totals, len(ks))
     if found is None:
         return None
     mix = [0] * len(counts)
@@ -217,38 +216,38 @@ def _first_mix(
     if not vectors:
         return None
     last = len(vectors) - 1
-    # for each vector but the last: its nonzero entries, and the least and
-    # the most (of an exact entry) a line of it or a later vector adds; only
-    # a nonzero least can rule a state out
-    terms: list[list[tuple[int, int]]] = [[]] * last
-    floors: list[list[tuple[int, int]]] = [[]] * last
-    ceilings: list[list[int]] = [[]] * last
-    low = list(vectors[last])
-    high = low[:exact]
-    for idx in range(last - 1, -1, -1):
-        term = terms[idx] = []
-        floor = floors[idx] = []
-        vec = vectors[idx]
-        for a, c in enumerate(vec):
-            if c:
-                term.append((a, c))
-            if c < low[a]:
-                low[a] = c
-            if low[a]:
-                floor.append((a, low[a]))
-        for a in range(exact):
-            if vec[a] > high[a]:
-                high[a] = vec[a]
-        ceilings[idx] = high[:]
+    final = vectors[last]
+    mix = [0] * (last + 1)
+    if last:
+        # for each vector but the last: its nonzero entries, and the least and
+        # the most (of an exact entry) a line of it or a later vector adds; only
+        # a nonzero least can rule a state out
+        terms: list[list[tuple[int, int]]] = [[]] * last
+        floors: list[list[tuple[int, int]]] = [[]] * last
+        ceilings: list[list[int]] = [[]] * last
+        low = list(final)
+        high = low[:exact]
+        for idx in range(last - 1, -1, -1):
+            term = terms[idx] = []
+            floor = floors[idx] = []
+            for a, c in enumerate(vectors[idx]):
+                if c:
+                    term.append((a, c))
+                    if a < exact and c > high[a]:
+                        high[a] = c
+                if c < low[a]:
+                    low[a] = c
+                if low[a]:
+                    floor.append((a, low[a]))
+            ceilings[idx] = high[:]
     left = list(totals)
     lines_left = lines
-    mix = [0] * (last + 1)
     idx = 0
     while True:
         if idx == last:
             # the last vector takes every remaining line
-            for a, (b, c) in enumerate(zip(left, vectors[last])):
-                b -= lines_left * c
+            for a, c in enumerate(final):
+                b = left[a] - lines_left * c
                 if b < 0 or (b and a < exact):
                     break
             else:
@@ -287,19 +286,46 @@ def _first_mix(
         idx += 1
 
 
-def _pair_budgets(tv: TVector, ks: list[int]) -> list[tuple[int, int, int]]:
+def _pairs(vec: list[int] | tuple[int, ...], a: int, b: int) -> int:
+    """Pairs of one point of class a and one of class b among ``vec[a]`` and ``vec[b]`` points.
+
+    With ``vec`` a line's profile counts this is the pairs the line joins;
+    with T's point counts per class it is the pairs available.
+    """
+    c = vec[a]
+    return c * (c - 1) // 2 if a == b else c * vec[b]
+
+
+def _first_overdrawn(
+    points: list[int], used: list[tuple[int, tuple[int, ...]]]
+) -> tuple[int, int] | None:
+    """(index in ``_pair_budgets`` order, pairs needed) of the first budget a mix overdraws, or None.
+
+    ``points`` is T's point count per class and ``used`` the mix as
+    (lines, profile counts) for each profile it uses.
+    """
+    n = len(points)
+    i = 0
+    for a in range(n):
+        for b in range(a, n):
+            need = 0
+            for x, vec in used:
+                need += x * _pairs(vec, a, b)
+            if need > _pairs(points, a, b):
+                return i, need
+            i += 1
+    return None
+
+
+def _pair_budgets(points: list[int]) -> list[tuple[int, int, int]]:
     """(a, b, pairs available) for each class pair a <= b, in lexicographic order."""
-    points = [tv.counts[k - 2] for k in ks]
-    return [
-        (a, b, comb(ta, 2) if a == b else ta * points[b])
-        for a, ta in enumerate(points)
-        for b in range(a, len(ks))
-    ]
+    n = len(points)
+    return [(a, b, _pairs(points, a, b)) for a in range(n) for b in range(a, n)]
 
 
 def _pair_use(vec: tuple[int, ...], budgets: list[tuple[int, int, int]]) -> tuple[int, ...]:
     """Point pairs one line of this profile spends from each budget."""
-    return tuple(vec[a] * (vec[a] - 1) // 2 if a == b else vec[a] * vec[b] for a, b, _ in budgets)
+    return tuple(_pairs(vec, a, b) for a, b, _ in budgets)
 
 
 def _parity_profile(
@@ -316,16 +342,16 @@ def _parity_profile(
     """
     if first is not None:
         return None
-    if not counts:
+    shapes = [_shape(ks, vec) for vec in counts]
+    if not shapes:
         return ExclusionVerdict(
             "parity_profile",
             f"d-1 = {tv.d - 1} is not a sum of parts (m-1) for m in {sorted(ks)} "
             f"with at most t_m parts of each size",
         )
-    shapes = ", ".join(_shape(ks, vec) for vec in counts)
     return ExclusionVerdict(
         "parity_profile",
-        f"no assignment of the {len(counts)} admissible line profiles [{shapes}] "
+        f"no assignment of the {len(shapes)} admissible line profiles [{', '.join(shapes)}] "
         f"to {tv.d} lines meets the incidence totals k*t_k",
     )
 
@@ -352,22 +378,18 @@ def _point_pairs(
     directly, and only an overdrawn one starts a search over mixes under
     the budgets.
     """
-    budgets = _pair_budgets(tv, ks)
-    spent = [0] * len(budgets)
-    for x, vec in zip(first, counts):
-        if x:
-            for i, use in enumerate(_pair_use(vec, budgets)):
-                spent[i] += x * use
-    overdrawn = [i for i, (need, (_, _, cap)) in enumerate(zip(spent, budgets)) if need > cap]
-    if not overdrawn:
+    points = [tv.counts[k - 2] for k in ks]
+    overdrawn = _first_overdrawn(points, [(x, vec) for x, vec in zip(first, counts) if x])
+    if overdrawn is None:
         return None
+    i, need = overdrawn
+    budgets = _pair_budgets(points)
     uses = [_pair_use(vec, budgets) for vec in counts]
     totals = [k * tv.counts[k - 2] for k in ks] + [cap for _, _, cap in budgets]
     joined = [vec + use for vec, use in zip(counts, uses)]
     if _first_mix(tv.d, joined, totals, len(ks)) is not None:
         return None
     # name the first budget the first mix overdraws
-    i = overdrawn[0]
     a, b, cap = budgets[i]
     spenders = [(x, vec, use[i]) for x, vec, use in zip(first, counts, uses) if x and use[i]]
     lines = " + ".join(
@@ -383,7 +405,7 @@ def _point_pairs(
     return ExclusionVerdict(
         "point_pairs",
         f"no line-profile mix fits the point-pair budgets; in the first, "
-        f"{lines} need {spent[i]} {what}, but only {available} exist",
+        f"{lines} need {need} {what}, but only {available} exist",
     )
 
 
@@ -409,11 +431,15 @@ def _hirzebruch(tv: TVector) -> ExclusionVerdict | None:
     if d < 6 or t[-1] or t[-2] or t[-3]:
         return None
     quadruple_lhs = 4 * t[0] + 3 * t[1]  # 4 (t2 + (3/4) t3)
-    rhs = d + sum((k - 4) * t[k - 2] for k in range(5, d + 1))
+    rhs = d
+    for k in range(5, d + 1):
+        rhs += (k - 4) * t[k - 2]
     if quadruple_lhs < 4 * rhs:
+        g = gcd(quadruple_lhs, 4)  # the left side in lowest terms, as a Fraction prints it
+        lhs = f"{quadruple_lhs // g}" + (f"/{4 // g}" if g < 4 else "")
         return ExclusionVerdict(
             "hirzebruch",
-            f"t2 + (3/4) t3 = {Fraction(quadruple_lhs, 4)} < {rhs} = d + sum_(k>=5) (k-4) t_k",
+            f"t2 + (3/4) t3 = {lhs} < {rhs} = d + sum_(k>=5) (k-4) t_k",
         )
     return None
 

@@ -83,13 +83,6 @@ class TVector(Value):
         """Total number of singular points."""
         return sum(self.counts)
 
-    def multiplicities(self) -> list[int]:
-        """All point multiplicities as a descending list (t_k copies of k)."""
-        out: list[int] = []
-        for k in range(self.d, 1, -1):
-            out += [k] * self.counts[k - 2]
-        return out
-
     def __str__(self) -> str:
         return f"d={self.d}:({self.encode()})"
 

@@ -187,8 +187,9 @@ def test_criterion_6_property_suites():
         # abstract filters are necessary conditions, so realizations pass them
         ks, counts = _line_profiles(tv)
         first = _profile_mix(tv, ks, counts)
-        assert _multiplicity_sum(d, tv.multiplicities()) is None, label
-        assert _two_pencils(tv.multiplicities()) is None, label
+        mults = [k for k in range(d, 1, -1) for _ in range(tv.t(k))]  # descending
+        assert _multiplicity_sum(d, mults) is None, label
+        assert _two_pencils(mults) is None, label
         assert _parity_profile(tv, ks, counts, first) is None, label
         assert _point_pairs(tv, ks, counts, first) is None, label
 

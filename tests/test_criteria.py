@@ -33,12 +33,17 @@ def shapes(vector):
     return [_shape(ks, vec) for vec in counts]
 
 
+def descending(vector):
+    """T's multiplicities, descending: t_k copies of k."""
+    return [k for k in range(vector.d, 1, -1) for _ in range(vector.t(k))]
+
+
 def multiplicity_sum(vector):
-    return _multiplicity_sum(vector.d, vector.multiplicities())
+    return _multiplicity_sum(vector.d, descending(vector))
 
 
 def two_pencils(vector):
-    return _two_pencils(vector.multiplicities())
+    return _two_pencils(descending(vector))
 
 
 def parity_profile(vector):
@@ -308,6 +313,28 @@ class TestApplyAll:
         assert all(TVector.decode(d, t).counts[-3:] == (0, 0, 0) for d, t in hirzebruch)
         digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
         assert digest == "9cc54c96b75130d5709363babc94cd32c07f37ec0e424a4495d1e5b0c992d6a5"
+
+    def test_every_verdict_at_eleven_lines_is_pinned(self):
+        with pytest.warns(UserWarning, match="d=11 exceeds the supported range"):
+            vectors = enumerate_tvectors(11)
+        assert len(vectors) == 619
+        verdicts = [[mode, vector.encode(), apply_all(vector, mode).to_json()] for mode in MODES for vector in vectors]
+        criteria = Counter((mode, verdict["criterion"]) for mode, _, verdict in verdicts)
+        assert criteria == {
+            (MODE_ABSOLUTE, None): 202,
+            (MODE_ABSOLUTE, "multiplicity_sum"): 339,
+            (MODE_ABSOLUTE, "two_pencils"): 30,
+            (MODE_ABSOLUTE, "parity_profile"): 7,
+            (MODE_ABSOLUTE, "point_pairs"): 41,
+            (MODE_COMPLEX, None): 196,
+            (MODE_COMPLEX, "multiplicity_sum"): 339,
+            (MODE_COMPLEX, "two_pencils"): 30,
+            (MODE_COMPLEX, "parity_profile"): 7,
+            (MODE_COMPLEX, "hirzebruch"): 27,
+            (MODE_COMPLEX, "point_pairs"): 20,
+        }
+        digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+        assert digest == "f5c737c1c3d1e92be8deafc1fafabd99bdd2f8413105b2554e71c41cc04a4343"
 
     @pytest.mark.parametrize("mode", MODES)
     def test_same_verdict_as_the_filters_one_by_one(self, mode):

@@ -8,8 +8,6 @@ from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from harbourne import tspace
 from harbourne.tspace import (
@@ -231,16 +229,6 @@ def test_non_int_input_is_refused_not_converted(d, counts, message):
     with pytest.raises(ValueError) as raised:
         TVector(d, counts)
     assert str(raised.value) == message
-
-
-@given(st.integers(2, 10))
-def test_multiplicities_consistent(d):
-    for tv in enumerate_tvectors(d)[:5]:
-        mults = tv.multiplicities()
-        assert mults == sorted(mults, reverse=True)
-        assert len(mults) == tv.s
-        for k in range(2, d + 1):
-            assert mults.count(k) == tv.t(k)
 
 
 @pytest.mark.parametrize(
