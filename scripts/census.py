@@ -28,7 +28,7 @@ from harbourne.criteria import MODES, apply_all
 from harbourne.geometry import realize_over_prime_field
 from harbourne.incidence import feasible_arrangement
 from harbourne.pipeline import DEFAULT_FIELDS
-from harbourne.tspace import enumerate_tvectors
+from harbourne.tspace import MAX_D, enumerate_tvectors
 
 
 def incidence_record(tv):
@@ -49,10 +49,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    parser.add_argument("--max-d", type=int, default=10)
+    parser.add_argument("--max-d", type=int, default=MAX_D)
     args = parser.parse_args()
-    if not 2 <= args.max_d <= 10:
-        parser.error(f"max-d must lie in [2, 10], got {args.max_d}")
+    if not 2 <= args.max_d <= MAX_D:
+        parser.error(f"max-d must lie in [2, {MAX_D}], got {args.max_d}")
 
     for d in range(2, args.max_d + 1):
         for tv in enumerate_tvectors(d):

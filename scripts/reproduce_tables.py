@@ -17,12 +17,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from harbourne.cli import EXIT_INTEGRITY, SCHEMA_VERSION, UsageError, table_fields
 from harbourne.criteria import MODE_ABSOLUTE, MODE_COMPLEX
 from harbourne.pipeline import DEFAULT_FIELDS, builtin_certificates, compute_table
-from harbourne.tspace import render_decimal
+from harbourne.tspace import MAX_D, render_decimal
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-d", type=int, default=10)
+    parser.add_argument("--max-d", type=int, default=MAX_D)
     parser.add_argument("--fields", default=",".join(map(str, DEFAULT_FIELDS)))
     parser.add_argument("--out", default="results")
     args = parser.parse_args()

@@ -2,10 +2,13 @@
 
 ``dataclasses`` imports ``inspect``, ``ast``, ``dis`` and ``tokenize``
 and generates methods per class, a large share of every cold start.  A
-subclass of :class:`Value` lists its fields in ``__slots__`` and sets
-them in its own ``__init__`` with ``object.__setattr__``.  Equality,
-hashing and ``repr`` work on the tuple of the fields in slot order,
-exactly as a frozen dataclass's do.
+subclass of :class:`Value` lists its fields in ``__slots__`` and inherits
+a constructor taking one positional argument per field, in slot order.
+A subclass writes its own ``__init__`` only to check, normalise or
+default, and then stores its slots directly with ``object.__setattr__``,
+cheaper than the inherited loop for a value built once per
+classification.  Equality, hashing and ``repr`` work on the tuple of the
+fields in slot order, exactly as a frozen dataclass's do.
 """
 
 from operator import attrgetter
@@ -17,6 +20,13 @@ class Value:
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._fields = staticmethod(attrgetter(*cls.__slots__))  # a tuple: every class has 2+ fields
+
+    def __init__(self, *values) -> None:
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(names)} fields, got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -30,6 +30,7 @@ from . import criteria, incidence, pipeline
 from .exactnum import SUPPORTED_PRIMES, FieldDescriptor
 from .geometry import Certificate, CertificateError, realize_over_prime_field, verify_certificate
 from .tspace import (
+    MAX_D,
     TVector,
     enumerate_tvectors,
     quotient_fraction,
@@ -88,8 +89,8 @@ def _parse_tvector(args) -> TVector:
 
 def table_fields(max_d: int, fields: str) -> tuple[int, ...]:
     """Check a table run's ``--max-d`` and parse its ``--fields`` into supported primes."""
-    if not 2 <= max_d <= 10:
-        raise UsageError(f"max-d must lie in [2, 10], got {max_d}")
+    if not 2 <= max_d <= MAX_D:
+        raise UsageError(f"max-d must lie in [2, {MAX_D}], got {max_d}")
     try:
         primes = tuple(int(f) for f in fields.split(",") if f.strip())
     except ValueError:
@@ -118,8 +119,8 @@ def _emit_json(payload: dict, out: str | None = None) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    if args.d < 2 or args.d > 10:
-        raise UsageError(f"d must lie in [2, 10], got {args.d}")
+    if not 2 <= args.d <= MAX_D:
+        raise UsageError(f"d must lie in [2, {MAX_D}], got {args.d}")
     ceiling = None if args.below is None else _parse_bound(args.below)
     entries = []
     for tv in enumerate_tvectors(args.d, ceiling):
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate", help="list solution T-vectors with their quotients")
-    p_enum.add_argument("-d", type=int, required=True, help="number of lines (2..10)")
+    p_enum.add_argument("-d", type=int, required=True, help=f"number of lines (2..{MAX_D})")
     p_enum.add_argument(
         "--below", help='only quotients <= this bound (e.g. --below=-34/15 or --below="-2 4/15")'
     )
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="reproduce the Harbourne constant table")
-    p_table.add_argument("--max-d", type=int, default=10, dest="max_d")
+    p_table.add_argument("--max-d", type=int, default=MAX_D, dest="max_d")
     p_table.add_argument("--mode", choices=criteria.MODES, default=criteria.MODE_ABSOLUTE)
     p_table.add_argument(
         "--fields",

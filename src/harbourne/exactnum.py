@@ -34,10 +34,6 @@ PRIME = "prime"
 EISENSTEIN = "eisenstein"
 
 
-class UnsupportedFieldError(ValueError):
-    """Raised for field descriptors outside the supported set."""
-
-
 class FieldDescriptor(Value):
     """Names one of the supported coordinate fields."""
 
@@ -45,14 +41,12 @@ class FieldDescriptor(Value):
 
     def __init__(self, kind: str, p: int | None = None) -> None:
         if not isinstance(kind, str) or kind not in _KINDS:
-            raise UnsupportedFieldError(f"unknown field kind {kind!r}")
+            raise ValueError(f"unknown field kind {kind!r}")
         if kind == PRIME:
             if not isinstance(p, int) or p not in SUPPORTED_PRIMES:
-                raise UnsupportedFieldError(
-                    f"prime field modulus must be one of {SUPPORTED_PRIMES}, got {p!r}"
-                )
+                raise ValueError(f"prime field modulus must be one of {SUPPORTED_PRIMES}, got {p!r}")
         elif p is not None:
-            raise UnsupportedFieldError(f"field kind {kind!r} takes no modulus")
+            raise ValueError(f"field kind {kind!r} takes no modulus")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "p", p)
 
@@ -76,7 +70,7 @@ class FieldDescriptor(Value):
     @classmethod
     def from_json(cls, data: dict) -> "FieldDescriptor":
         if not isinstance(data, dict):
-            raise UnsupportedFieldError(f"field must be an object, got {data!r}")
+            raise ValueError(f"field must be an object, got {data!r}")
         return cls(data.get("kind"), data.get("p"))
 
     def __str__(self) -> str:

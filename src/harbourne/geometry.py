@@ -42,7 +42,6 @@ that no configuration exists, and a hit is the unrestricted search's.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -50,17 +49,12 @@ from ._value import Value
 from .exactnum import (
     _KINDS,
     FieldDescriptor,
-    UnsupportedFieldError,
     scalar_from_json,
     scalar_to_json,
 )
 # DEFAULT_NODE_BUDGET stays bound here: the benchmark records geometry.DEFAULT_NODE_BUDGET
 from .incidence import DEFAULT_NODE_BUDGET, resolve_node_budget
 from .tspace import TVector, quotient_fraction, require_solution
-
-
-class InvalidConfigurationError(ValueError):
-    """Raised for duplicate lines or malformed coordinate data."""
 
 
 class CertificateError(ValueError):
@@ -70,7 +64,7 @@ class CertificateError(ValueError):
 @lru_cache(maxsize=None)
 def _plane_residues(p: int) -> tuple[tuple[int, int, int], ...]:
     """Residues of the normalized lines of PG(2, p), lexicographically ordered."""
-    FieldDescriptor.prime(p)  # an unsupported p raises UnsupportedFieldError
+    FieldDescriptor.prime(p)  # an unsupported p raises ValueError
     return ((0, 0, 1), *((0, 1, c) for c in range(p)), *((1, b, c) for b in range(p) for c in range(p)))
 
 
@@ -94,13 +88,6 @@ class RealizationOutcome(Value):
     """``lines``: the residue triples of the lines found, or None."""
 
     __slots__ = ("lines", "exhausted", "nodes")
-
-    def __init__(
-        self, lines: tuple[tuple[int, int, int], ...] | None, exhausted: bool, nodes: int
-    ) -> None:
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "exhausted", exhausted)
-        object.__setattr__(self, "nodes", nodes)
 
     @property
     def found(self) -> bool:
@@ -240,7 +227,7 @@ class Certificate(Value):
             raise CertificateError(f"label: expected a string, got {label!r}")
         try:
             field = FieldDescriptor.from_json(raw_field)
-        except UnsupportedFieldError as exc:
+        except ValueError as exc:
             raise CertificateError(f"field: {exc}") from None
         cert = cls(label, field, raw_lines)
         raw_claim = data.get("claimed_tvector")
@@ -278,12 +265,8 @@ def _parse_lines(field: FieldDescriptor, lines) -> tuple:
 class VerificationReport(Value):
     __slots__ = ("tvector", "value")
 
-    def __init__(self, tvector: TVector, value: Fraction) -> None:
-        object.__setattr__(self, "tvector", tvector)
-        object.__setattr__(self, "value", value)
 
-
-def _point_multiplicities(ring, lines: list[tuple]) -> list[int]:
+def _point_multiplicities(ring, lines: list[tuple]) -> list[int] | None:
     """Multiplicity of each singular point of the cleared ``lines``, by determinants.
 
     ``ring`` is ``(times, plus, minus, is_zero)`` of the lines' ring.  Z,
@@ -291,7 +274,7 @@ def _point_multiplicities(ring, lines: list[tuple]) -> list[int]:
     cross product is nonzero, and line k passes through the meet of lines
     i and j iff dot(cross(l_i, l_j), l_k) = 0.  Pairs are visited in
     lexicographic order; a point is counted at the first pair of lines
-    through it, so only later lines need a test.
+    through it, so only later lines need a test.  None: two lines coincide.
     """
     times, plus, minus, is_zero = ring
     d = len(lines)
@@ -305,7 +288,7 @@ def _point_multiplicities(ring, lines: list[tuple]) -> list[int]:
             c2 = minus(times(u3, v1), times(u1, v3))
             c3 = minus(times(u1, v2), times(u2, v1))
             if is_zero(c1) and is_zero(c2) and is_zero(c3):
-                raise InvalidConfigurationError("duplicate line in configuration")
+                return None
             if met[i] >> j & 1:
                 continue
             through = [i, j]
@@ -329,20 +312,20 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     kind = _KINDS[cert.field.kind]
     ring = kind.ring(cert.field.p)
     is_zero = ring[3]
-    try:
-        lines = []
-        for line in cert.lines:
-            if len(line) != 3:
-                raise InvalidConfigurationError(f"expected 3 coordinates, got {len(line)}")
-            cleared = kind.clear(line)
-            if all(map(is_zero, cleared)):
-                raise InvalidConfigurationError("all-zero coordinate triple")
-            lines.append(cleared)
-        if len(lines) < 2:
-            raise InvalidConfigurationError("a configuration needs at least 2 lines")
-        mults = _point_multiplicities(ring, lines)
-    except InvalidConfigurationError as exc:
-        raise CertificateError(f"certificate {cert.label!r}: {exc}") from None
+    prefix = f"certificate {cert.label!r}: "
+    lines = []
+    for line in cert.lines:
+        if len(line) != 3:
+            raise CertificateError(f"{prefix}expected 3 coordinates, got {len(line)}")
+        cleared = kind.clear(line)
+        if all(map(is_zero, cleared)):
+            raise CertificateError(f"{prefix}all-zero coordinate triple")
+        lines.append(cleared)
+    if len(lines) < 2:
+        raise CertificateError(f"{prefix}a configuration needs at least 2 lines")
+    mults = _point_multiplicities(ring, lines)
+    if mults is None:
+        raise CertificateError(f"{prefix}duplicate line in configuration")
     tv = TVector.from_mapping(len(lines), Counter(mults))
     if cert.claimed_tvector is not None and cert.claimed_tvector != tv:
         raise CertificateError(

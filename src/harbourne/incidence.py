@@ -115,10 +115,6 @@ class SearchOutcome(Value):
 
     __slots__ = ("witness", "nodes_explored")
 
-    def __init__(self, witness: CliquePartition | None, nodes_explored: int) -> None:
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "nodes_explored", nodes_explored)
-
     @property
     def feasible(self) -> bool:
         return self.witness is not None

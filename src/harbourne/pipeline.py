@@ -42,7 +42,7 @@ from .geometry import (
     verify_certificate,
 )
 from .incidence import SearchBudgetExceeded, feasible_arrangement
-from .tspace import TVector, enumerate_tvectors, quotient_fraction
+from .tspace import MAX_D, TVector, enumerate_tvectors, quotient_fraction
 
 DEFAULT_FIELDS = (2, 3)
 
@@ -94,22 +94,6 @@ class CandidateStatus(Value):
 
 class TableRow(Value):
     __slots__ = ("d", "mode", "value", "witness", "audit", "integrity_ok")
-
-    def __init__(
-        self,
-        d: int,
-        mode: str,
-        value: Fraction,
-        witness: str,
-        audit: tuple[CandidateStatus, ...],
-        integrity_ok: bool,
-    ) -> None:
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "audit", audit)
-        object.__setattr__(self, "integrity_ok", integrity_ok)
 
     def to_json(self, with_audit: bool = True) -> dict:
         out = {
@@ -334,8 +318,8 @@ def compute_table(
     a realized candidate is found and every strictly smaller quotient is
     ruled out; all candidates with q <= value enter the audit.
     """
-    if not 2 <= max_d <= 10:
-        raise ValueError(f"max_d must lie in [2, 10], got {max_d}")
+    if not 2 <= max_d <= MAX_D:
+        raise ValueError(f"max_d must lie in [2, {MAX_D}], got {max_d}")
     if db is None:
         db = builtin_certificates()
     rows: list[TableRow] = []

@@ -24,6 +24,8 @@ from operator import neg
 
 from ._value import Value
 
+MAX_D = 10  # the tables, the CLI's -d and --max-d, and the census cover d = 2..MAX_D
+
 
 class TVector(Value):
     """Counts (t_2, ..., t_d) of singular points by multiplicity.
@@ -149,8 +151,8 @@ def enumerate_tvectors(d: int, q_ceiling: Fraction | None = None) -> list[TVecto
     """
     if d < 2:
         raise ValueError(f"need at least 2 lines, got d={d}")
-    if d > 10:
-        warnings.warn(f"enumeration for d={d} exceeds the supported range d <= 10", stacklevel=2)
+    if d > MAX_D:
+        warnings.warn(f"enumeration for d={d} exceeds the supported range d <= {MAX_D}", stacklevel=2)
     tvectors, quotients = _sorted_tspace(d)
     if q_ceiling is None:
         return list(tvectors)

@@ -33,10 +33,13 @@ from harbourne.exactnum import (
 from harbourne.geometry import (
     Certificate,
     CertificateError,
-    InvalidConfigurationError,
     _plane_residues,
 )
 from harbourne.tspace import TVector
+
+
+class InvalidConfigurationError(ValueError):
+    """The oracle's own rejection of duplicate lines or malformed coordinate data."""
 
 
 def is_zero(field: FieldDescriptor, x) -> bool:

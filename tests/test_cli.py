@@ -324,9 +324,14 @@ class TestVerify:
             ({"label": 7}, "label: expected a string, got 7"),
             ({"field": {"kind": "prime", "p": 4}}, "field: prime field modulus must be one of"),
             ({"field": "rational"}, "field: field must be an object, got 'rational'"),
+            ({"lines": [[1, 0, 0], [2, 0, 0]]}, "certificate 'bad': duplicate line in configuration"),
+            ({"lines": [[1, 0, 0], [0, 1]]}, "certificate 'bad': expected 3 coordinates, got 2"),
+            ({"lines": [[1, 0, 0], [0, 0, 0]]}, "certificate 'bad': all-zero coordinate triple"),
+            ({"lines": [[1, 0, 0]]}, "certificate 'bad': a configuration needs at least 2 lines"),
         ],
         ids=["lines-int", "line-int", "bool-coordinate", "claimed-int", "label-int",
-             "unsupported-prime", "field-string"],
+             "unsupported-prime", "field-string", "duplicate-line", "two-coordinates",
+             "zero-triple", "one-line"],
     )
     def test_malformed_certificate_fails_without_traceback(self, capsys, tmp_path, change, message):
         data = {"label": "bad", "field": {"kind": "rational"}, "lines": [[1, 0, 0], [0, 1, 0]]}

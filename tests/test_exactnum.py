@@ -12,7 +12,6 @@ from harbourne.exactnum import (
     RATIONAL,
     SUPPORTED_PRIMES,
     FieldDescriptor,
-    UnsupportedFieldError,
     scalar_from_json,
     scalar_to_json,
 )
@@ -80,13 +79,13 @@ def test_zero_has_no_inverse():
 
 
 def test_unsupported_prime_rejected():
-    with pytest.raises(UnsupportedFieldError):
+    with pytest.raises(ValueError, match="prime field modulus must be one of"):
         FieldDescriptor.prime(4)
-    with pytest.raises(UnsupportedFieldError):
+    with pytest.raises(ValueError, match="prime field modulus must be one of"):
         FieldDescriptor.prime(17)
-    with pytest.raises(UnsupportedFieldError):
+    with pytest.raises(ValueError, match="prime field modulus must be one of"):
         FieldDescriptor.prime(9)
-    with pytest.raises(UnsupportedFieldError):
+    with pytest.raises(ValueError, match="prime field modulus must be one of"):
         FieldDescriptor.prime(3.0)
 
 

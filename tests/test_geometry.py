@@ -18,13 +18,11 @@ import harbourne
 from harbourne.exactnum import (
     SUPPORTED_PRIMES,
     FieldDescriptor,
-    UnsupportedFieldError,
     scalar_from_json,
 )
 from harbourne.geometry import (
     Certificate,
     CertificateError,
-    InvalidConfigurationError,
     RealizationOutcome,
     _plane_incidence,
     _plane_residues,
@@ -34,6 +32,7 @@ from harbourne.geometry import (
 from harbourne.tspace import TVector, enumerate_tvectors
 import normal_forms
 from normal_forms import (
+    InvalidConfigurationError,
     LineConfiguration,
     ProjTriple,
     certificate_from_configuration,
@@ -92,7 +91,7 @@ class TestPlaneLines:
         assert len(plane_lines(5)) == 31
 
     def test_unsupported_prime(self):
-        with pytest.raises(UnsupportedFieldError):
+        with pytest.raises(ValueError, match="prime field modulus must be one of"):
             plane_lines(4)
 
     def test_lines_are_normalized_and_distinct(self):
@@ -109,7 +108,7 @@ class TestPlaneLines:
         assert _plane_residues(p) == tuple(line.coords for line in plane_lines(p))
 
     def test_residues_of_unsupported_prime(self):
-        with pytest.raises(UnsupportedFieldError):
+        with pytest.raises(ValueError, match="prime field modulus must be one of"):
             _plane_residues(4)
 
     @pytest.mark.parametrize("p", (2, 3, 5))

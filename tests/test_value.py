@@ -132,6 +132,19 @@ def test_copies_and_pickles_are_equal(cls):
     assert pickle.loads(pickle.dumps(value)) == value
 
 
+@pytest.mark.parametrize(
+    "cls", (SearchOutcome, RealizationOutcome, VerificationReport, TableRow),
+    ids=lambda cls: cls.__name__,
+)
+def test_inherited_constructor_takes_one_argument_per_field(cls):
+    fields = tuple(getattr(SAMPLES[cls][0](), name) for name in FIELDS[cls])
+    assert cls(*fields) == SAMPLES[cls][0]()
+    for wrong in (fields[:-1], fields + (None,)):
+        message = f"^{cls.__name__} takes {len(fields)} fields, got {len(wrong)}$"
+        with pytest.raises(TypeError, match=message):
+            cls(*wrong)
+
+
 def test_tvector_hash_is_the_hash_of_its_fields():
     for tv in (TVector(2, (1,)), TVector(3, (3, 0)), TVector(10, (0, 7, 4, 0, 0, 0, 0, 0, 0))):
         assert hash(tv) == hash((tv.d, tv.counts))
